@@ -43,14 +43,17 @@ everywhere with a conservative 2× regression assert (budget-gated like the
 ladder via ``REPRO_LADDER_BUDGET_S``); the 1024-host rung — the tentpole's
 ≥3× acceptance — climbs with ``REPRO_LADDER_MAX_HOSTS``.
 
-The **scale-ladder** sections climb the same synthetic skeleton to 256,
-1024 and 4096 hosts (plus a LINPACK prediction and a small campaign
+The **scale-ladder** sections climb the same synthetic skeleton and a
+LINPACK prediction to 256, 1024 and 4096 hosts (plus a small campaign
 variant), recording one trajectory record per rung — the repository's
 first ≥1k-host benchmark records.  The 256-host rung runs everywhere; the
 heavier rungs are opt-in via ``REPRO_LADDER_MAX_HOSTS`` (CI runs the small
 rung on every push with a wall-clock budget from
-``REPRO_LADDER_BUDGET_S``).  The **vectorized-core** section measures the
-numpy pricing paths of this PR directly: array water-filling vs the scalar
+``REPRO_LADDER_BUDGET_S``).  A LINPACK scaling gate, opt-in the same way
+(``REPRO_LADDER_MAX_HOSTS`` ≥ 1024), runs the 256- and 1024-rank rungs
+back to back and bounds their wall-clock ratio at 5×, so the engine's
+scheduling cost must grow with the work, not with ranks².  The
+**vectorized-core** section measures the numpy pricing paths of this PR directly: array water-filling vs the scalar
 freeze loop at 4096 flows, and batched component pricing vs the per-
 component loop — both asserted bit-exact, with the speedups recorded.
 
@@ -62,6 +65,7 @@ inverting a comparison).
 from __future__ import annotations
 
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -423,11 +427,24 @@ def test_scale_ladder_synthetic(emit, num_hosts):
     _ladder_budget(best, record)
 
 
-@pytest.mark.parametrize("num_ranks", [256, 1024],
-                         ids=lambda n: f"ladder_linpack_{n}")
-def test_scale_ladder_linpack(emit, num_ranks):
-    """LINPACK prediction rung: a real application skeleton at ≥1k ranks."""
-    _ladder_skip(num_ranks)
+#: wall-clock(1024 ranks) / wall-clock(256 ranks) bound of the LINPACK
+#: ladder: 4× the ranks bring 4× the events, so scheduling cost that grows
+#: with activity (not with ranks²) stays near 4×
+LINPACK_SCALING_MAX = 5.0
+LINPACK_SCALING_REPEATS = 2
+
+
+def _where() -> dict:
+    """Where a ladder record was measured."""
+    return {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def run_linpack_rung(num_ranks: int):
+    """One LINPACK prediction at ``num_ranks`` ranks on as many GigE hosts.
+
+    Returns ``(wall clock s, report, provider)``.
+    """
     from repro.cluster import custom_cluster
     from repro.simulator import Simulator
     from repro.workloads.linpack import generate_linpack
@@ -443,7 +460,16 @@ def test_scale_ladder_linpack(emit, num_ranks):
     report = simulator.run(app, placement="RRN")
     elapsed = time.perf_counter() - started
     assert report.total_time > 0
+    return elapsed, report, provider
 
+
+@pytest.mark.parametrize("num_ranks", LADDER_RUNGS,
+                         ids=lambda n: f"ladder_linpack_{n}")
+def test_scale_ladder_linpack(emit, num_ranks):
+    """LINPACK prediction rung: a real application skeleton at ≥1k ranks."""
+    _ladder_skip(num_ranks)
+    elapsed, report, provider = run_linpack_rung(num_ranks)
+    problem_size = 32 * num_ranks
     lines = [
         f"scale ladder (LINPACK): {num_ranks} ranks on {num_ranks} hosts, "
         f"N={problem_size}, NB={problem_size // 16}",
@@ -462,10 +488,49 @@ def test_scale_ladder_linpack(emit, num_ranks):
         "wall_clock_s": round(elapsed, 4),
         "predicted_makespan_s": round(report.total_time, 4),
         **provider.stats.snapshot(),
+        "where": _where(),
     }
     emit(f"scale_ladder_linpack_{num_ranks}", "\n".join(lines), record=record,
          bench_json=BENCH_JSON)
     _ladder_budget(elapsed, record)
+
+
+def test_linpack_ladder_scaling(emit):
+    """LINPACK 256 → 1024 ranks: the wall clock grows at most 5×.
+
+    The engine's scheduling cost follows the ready tasks, not the cluster
+    size, so 4× the ranks (and events) must not cost ranks² more.  Best of
+    :data:`LINPACK_SCALING_REPEATS` runs per rung.
+    """
+    _ladder_skip(1024)
+    walls = {}
+    makespans = {}
+    for num_ranks in (256, 1024):
+        runs = [run_linpack_rung(num_ranks) for _ in range(LINPACK_SCALING_REPEATS)]
+        walls[num_ranks] = min(elapsed for elapsed, _, _ in runs)
+        makespans[num_ranks] = runs[0][1].total_time
+    ratio = walls[1024] / walls[256]
+    lines = [
+        f"LINPACK ladder scaling, best of {LINPACK_SCALING_REPEATS}:",
+        "",
+        f"256 ranks: {walls[256]:.3f} s   1024 ranks: {walls[1024]:.3f} s   "
+        f"ratio: {ratio:.2f}x (bound {LINPACK_SCALING_MAX:.1f}x)",
+    ]
+    record = {
+        "benchmark": "bench_scale_engine/linpack_scaling",
+        "workload": "linpack",
+        "repeats": LINPACK_SCALING_REPEATS,
+        "wall_clock_256_s": round(walls[256], 4),
+        "wall_clock_1024_s": round(walls[1024], 4),
+        "predicted_makespan_256_s": round(makespans[256], 4),
+        "predicted_makespan_1024_s": round(makespans[1024], 4),
+        "ratio": round(ratio, 3),
+        "bound": LINPACK_SCALING_MAX,
+        "where": _where(),
+    }
+    emit("linpack_ladder_scaling", "\n".join(lines), record=record,
+         bench_json=BENCH_JSON)
+    assert ratio <= LINPACK_SCALING_MAX, record
 
 
 def test_scale_ladder_campaign(emit):

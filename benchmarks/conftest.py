@@ -16,6 +16,7 @@ the trajectory file, so the two can never drift apart.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -23,16 +24,40 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
+class BenchRecordError(ValueError):
+    """A perf trajectory file exists but is not a JSON list of records."""
+
+
 def append_bench_record(bench_json: Path, record: dict) -> None:
-    """Append one result record to a cross-PR perf trajectory file."""
+    """Append one result record to a cross-PR perf trajectory file.
+
+    A file that is not valid JSON, or not a list, raises
+    :class:`BenchRecordError` and is left as it is: the trajectory is never
+    reset.  The new history goes to a temp file in the same directory,
+    which ``os.replace`` then swaps in, so a failed write leaves the old
+    file intact.
+    """
     history = []
     if bench_json.exists():
         try:
             history = json.loads(bench_json.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            history = []
+        except json.JSONDecodeError as exc:
+            raise BenchRecordError(
+                f"{bench_json} is not valid JSON ({exc}); not overwriting "
+                f"the trajectory"
+            ) from exc
+        if not isinstance(history, list):
+            raise BenchRecordError(
+                f"{bench_json} holds a JSON {type(history).__name__}, not a "
+                f"list of records; not overwriting the trajectory"
+            )
     history.append(record)
-    bench_json.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+    tmp = bench_json.with_name(f".{bench_json.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, bench_json)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,13 @@ and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
 ``MPI_ANY_SOURCE`` wildcard buckets, preserving the posted-order
 tie-breaking of the historical linear scans.
 
+Scheduling follows the same principle: READY tasks are advanced from a
+rank-ordered ready queue in exactly the order of the historical all-ranks
+sweep (see :meth:`ExecutionEngine._process_ready_tasks`), and live,
+computing and barrier-waiting tasks are counted rather than rescanned, so
+per-event scheduling work scales with the tasks that change state, not
+with the number of ranks.
+
 Interference injection: :attr:`EngineConfig.injectors` carries
 :mod:`repro.simulator.interference` injectors whose events ride the same
 timeline heap as computes and readiness transitions.  Injected background
@@ -518,6 +525,9 @@ class ExecutionEngine:
         #: when metered (same contract as the calendar's flush timer)
         self._drain_timer = (self._metrics.timer("timeline.drain_s")
                              if self._metrics is not None else None)
+        #: same contract around the ready-queue drain (_process_ready_tasks)
+        self._advance_timer = (self._metrics.timer("engine.advance_s")
+                               if self._metrics is not None else None)
         # sampling needs both a sink (to emit through) and a registry (to
         # snapshot); the untraced/unmetered paths keep a single falsy test
         self._sample_every = (
@@ -525,6 +535,18 @@ class ExecutionEngine:
             if self._trace is not None and self._metrics is not None else 0
         )
         self.stats = EngineLoopStats()
+        # rank-ordered ready queue (see _process_ready_tasks): a heap of the
+        # ranks still due in the pass in progress, all above the cursor, and
+        # the ranks queued for the next pass
+        self._ready_now: List[int] = []
+        self._ready_next: List[int] = []
+        #: rank the pass in progress advanced last; num_tasks between sweeps
+        self._cursor = self.num_tasks
+        #: tasks not DONE and tasks COMPUTING: counters instead of task scans
+        self._live = self.num_tasks
+        self._computing = 0
+        for task in self.tasks:
+            self._mark_ready(task)
 
     # -------------------------------------------------------------- utilities
     def _flops_per_core(self) -> float:
@@ -573,8 +595,17 @@ class ExecutionEngine:
             task.resume_value = None
         return event
 
+    def _mark_ready(self, task: _TaskState) -> None:
+        """Make a task READY and queue its rank for the sweep order."""
+        task.status = _Status.READY
+        if task.rank > self._cursor:
+            heapq.heappush(self._ready_now, task.rank)
+        else:
+            self._ready_next.append(task.rank)
+
     def _finish_task(self, task: _TaskState) -> None:
         task.status = _Status.DONE
+        self._live -= 1
         task.finish_time = self.now
         if self._trace is not None:
             self._trace.emit(TraceRecord(self.now, "task.state", task.rank,
@@ -596,6 +627,7 @@ class ExecutionEngine:
                 # start while the window is open (see NodeSlowdownInjector)
                 duration = duration / self._compute_scale(task.rank)
             task.status = _Status.COMPUTING
+            self._computing += 1
             task.compute_until = self.now + duration
             self._timeline_pending.append(
                 (task.compute_until, next(self._timeline_seq), _COMPUTE, task.rank)
@@ -713,14 +745,14 @@ class ExecutionEngine:
         penalty = duration / base if base > 0 else 1.0
         self._record(send.rank, "send", send.posted, completion, size=send.size,
                      peer=send.dst, label=send.label, penalty=max(penalty, 0.0))
-        task.status = _Status.READY
+        self._mark_ready(task)
         task.resume_value = {"kind": "send", "dst": send.dst, "duration": duration}
 
     def _complete_recv(self, task: _TaskState, recv: _RecvRequest, send: _SendRequest,
                        completion: float) -> None:
         self._record(recv.rank, "recv", recv.posted, completion, size=send.size,
                      peer=send.rank, label=recv.label)
-        task.status = _Status.READY
+        self._mark_ready(task)
         task.resume_value = {"kind": "recv", "source": send.rank, "size": send.size,
                              "duration": completion - recv.posted}
 
@@ -736,36 +768,55 @@ class ExecutionEngine:
                               flight.send)
 
     def _maybe_release_barrier(self) -> None:
-        alive = [t for t in self.tasks if t.status is not _Status.DONE]
-        if alive and all(t.status is _Status.BARRIER for t in alive):
-            for task in alive:
-                start = self.barrier_waiting.pop(task.rank)
-                label = ""
-                if isinstance(task.current_event, BarrierEvent):
-                    label = task.current_event.label
-                self._record(task.rank, "barrier", start, self.now, label=label)
-                task.status = _Status.READY
-                task.resume_value = {"kind": "barrier"}
+        """Release the barrier once every live task waits in it (rank order)."""
+        waiting = self.barrier_waiting
+        if not waiting or len(waiting) != self._live:
+            return
+        for rank in sorted(waiting):
+            task = self.tasks[rank]
+            start = waiting.pop(rank)
+            label = ""
+            if isinstance(task.current_event, BarrierEvent):
+                label = task.current_event.label
+            self._record(rank, "barrier", start, self.now, label=label)
+            self._mark_ready(task)
+            task.resume_value = {"kind": "barrier"}
 
     # ------------------------------------------------------------------- run
-    def _process_ready_tasks(self) -> bool:
-        """Advance every READY task until all are blocked; True if anything ran."""
-        progressed = False
-        made_progress = True
-        while made_progress:
-            made_progress = False
-            for task in self.tasks:
-                if task.status is not _Status.READY:
-                    continue
+    def _process_ready_tasks(self) -> None:
+        """Advance every READY task until all are blocked.
+
+        Sweep-order contract — the order of the historical all-ranks sweep,
+        which ``tests/oracles/sweep_engine.py`` keeps as a test oracle and
+        ``tests/property/test_ready_queue.py`` checks bit-exact against:
+
+        * tasks advance in passes, each pass in ascending rank order;
+        * a rank made READY while the pass in progress is at rank ``c``
+          (the cursor) joins that pass when it is above ``c``, otherwise it
+          waits for the next pass;
+        * a rank made READY between sweeps waits for the next sweep's first
+          pass; passes repeat until one leaves nothing for the next.
+
+        :meth:`_mark_ready` files each rank accordingly — into the current
+        pass's heap or the next pass's list, heapified when that pass starts
+        — so a sweep costs O(ready · log ready), not O(ranks) per pass.
+        """
+        tasks = self.tasks
+        pop = heapq.heappop
+        while self._ready_next:
+            current = self._ready_now = self._ready_next
+            self._ready_next = []
+            heapq.heapify(current)
+            while current:
+                rank = self._cursor = pop(current)
+                task = tasks[rank]
                 event = self._advance_program(task)
                 if event is None:
                     self._finish_task(task)
                     self._maybe_release_barrier()
                 else:
                     self._start_event(task, event)
-                progressed = True
-                made_progress = True
-        return progressed
+            self._cursor = self.num_tasks
 
     def _merge_timeline(self) -> None:
         """Fold the sweep's buffered entries into the timeline heap.
@@ -802,12 +853,9 @@ class ExecutionEngine:
             # flight and nobody computing they can never unblock a task.
             # (Injector-free runs reach the empty-`times` branch below
             # instead, so their hot loop pays nothing here.)
-            alive = [task for task in self.tasks
-                     if task.status is not _Status.DONE]
-            if alive and not any(
-                task.status is _Status.COMPUTING for task in alive
-            ):
-                blocked = [(task.rank, task.status.value) for task in alive]
+            if self._live and not self._computing:
+                blocked = [(task.rank, task.status.value) for task in self.tasks
+                           if task.status is not _Status.DONE]
                 raise DeadlockError(
                     f"no task can make progress at t={self.now:.6f}s; "
                     f"blocked tasks: {blocked}",
@@ -914,7 +962,8 @@ class ExecutionEngine:
             event = task.current_event
             label = event.label if isinstance(event, ComputeEvent) else ""
             self._record(rank, "compute", task.current_start, self.now, label=label)
-            task.status = _Status.READY
+            self._computing -= 1
+            self._mark_ready(task)
             task.resume_value = {"kind": "compute"}
 
         foreground: List[Transfer] = []
@@ -1030,9 +1079,16 @@ class ExecutionEngine:
             if iterations > allowed:
                 raise SimulationError(self._budget_diagnostics(allowed))
 
-            self._process_ready_tasks()
+            # same unmetered/sampled timer shape as _complete_due_events
+            timer = self._advance_timer
+            if timer is None or not timer.due():
+                self._process_ready_tasks()
+            else:
+                start = perf_counter()
+                self._process_ready_tasks()
+                timer.observe(perf_counter() - start)
 
-            if all(task.status is _Status.DONE for task in self.tasks):
+            if not self._live:
                 break
 
             # push the flow delta of this step (new sends, completed

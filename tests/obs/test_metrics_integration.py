@@ -146,7 +146,8 @@ class TestMetricsBitExact:
 
 
 class TestDrainTimer:
-    """The batched due-event drain has its own phase timer."""
+    """Both engine drains — the batched due events and the ready queue —
+    have their own phase timers."""
 
     SPEC = {"num_tasks": 4, "provider": "model", "loaded": False,
             "policy": "RRN", "seed": 0,
@@ -183,6 +184,21 @@ class TestDrainTimer:
         dense_count = dense.snapshot()["timeline.drain_s.count"]
         sparse_count = sparse.snapshot()["timeline.drain_s.count"]
         assert 0 < sparse_count < dense_count
+
+    def test_ready_queue_drain_is_timed_and_bit_exact(self):
+        """``engine.advance_s`` times every main-loop drain of the ready
+        queue without perturbing the run, and honours ``sample_every``."""
+        cluster = self.cluster()
+        app = build_application(self.SPEC)
+        plain = run_engine(self.SPEC, app, cluster)
+        dense = MetricsRegistry()
+        sparse = MetricsRegistry(timer_sample_every=7)
+        assert run_engine(self.SPEC, app, cluster, metrics=dense) == plain
+        assert run_engine(self.SPEC, app, cluster, metrics=sparse) == plain
+        iterations = plain[2]["iterations"]
+        assert dense.snapshot()["engine.advance_s.count"] == iterations > 0
+        assert dense.snapshot()["engine.advance_s.total"] >= 0.0
+        assert sparse.snapshot()["engine.advance_s.count"] == iterations // 7 > 0
 
 
 class TestMetricsConfig:
