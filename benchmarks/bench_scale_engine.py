@@ -4,8 +4,10 @@ delta-driven event calendar vs per-step full re-query, and tracing overhead.
 A 64-node synthetic iterative workload (per-group fan-ins plus an
 inter-group leader ring, the communication skeleton of LINPACK-style
 iterations) is run through the fluid transfer simulator twice: once with the
-historical rebuild-everything :class:`ModelRateProvider` and once with the
-incremental engine (component-scoped re-pricing + memoized snapshots).  The
+historical rebuild-everything provider (the test oracle
+``tests/oracles/pricing.py``) and once with the incremental
+:class:`ModelRateProvider` (component-scoped re-pricing + memoized
+snapshots).  The
 two must produce identical completion times; the benchmark reports the
 model-evaluation counts and wall-clock times, asserts the ≥3× evaluation
 reduction the refactor promises, and appends the numbers to
@@ -15,7 +17,8 @@ accumulates across PRs.
 The **engine-events** section measures the execution loop itself: with the
 delta rate contract the calendar re-prices/re-times only the transfers of
 the conflict components each arrival/departure dirties, while the
-full-requery loop touches every active transfer every step.  Per-event
+full-requery loop (the same provider behind ``tests/oracles/rates_only.py``)
+touches every active transfer every step.  Per-event
 engine work (rate entries applied per flush) must drop ≥5× on the
 64-host / 384-transfer scenario, with identical completion records.
 
@@ -36,7 +39,8 @@ extra 1-in-8 sampled-timer row (``MetricsRegistry(timer_sample_every=8)``).
 
 The **calendar-bookkeeping** section isolates what PR 8 vectorizes: a
 churn workload (every flush re-rates the whole active set through a
-zero-cost provider) driven through the scalar and the structure-of-arrays
+zero-cost provider) driven through the scalar calendar oracle
+(``tests/oracles/scalar_calendar.py``) and the structure-of-arrays
 :class:`~repro.network.fluid.TransferCalendar`, recording us/event,
 retimes/event and heap ops/event per path.  The 256-host rung runs
 everywhere with a conservative 2× regression assert (budget-gated like the
@@ -70,6 +74,9 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles.pricing import FullRecomputeProvider
+from oracles.rates_only import RatesOnly
+from oracles.scalar_calendar import ScalarTransferCalendar
 
 from repro.core import GigabitEthernetModel
 from repro.network.fluid import FluidTransferSimulator, Transfer, TransferCalendar
@@ -134,8 +141,8 @@ def run_mode(incremental: bool, repeats: int = REPEATS):
     best = float("inf")
     results = stats = None
     for _ in range(repeats):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet",
-                                     incremental=incremental)
+        factory = ModelRateProvider if incremental else FullRecomputeProvider
+        provider = factory(GigabitEthernetModel(), "ethernet")
         simulator = FluidTransferSimulator(provider)
         started = time.perf_counter()
         results = simulator.run(workload)
@@ -196,7 +203,8 @@ def run_calendar_mode(delta: bool, repeats: int = REPEATS):
     results = stats = None
     for _ in range(repeats):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        simulator = FluidTransferSimulator(provider, delta=delta)
+        simulator = FluidTransferSimulator(
+            provider if delta else RatesOnly(provider))
         started = time.perf_counter()
         results = simulator.run(workload)
         best = min(best, time.perf_counter() - started)
@@ -826,8 +834,8 @@ def run_calendar_bookkeeping(num_flights: int, vectorized: bool,
     stats = done = None
     for _ in range(repeats):
         provider = ChurnProvider()
-        calendar = TransferCalendar(provider, delta=True,
-                                    vectorized=vectorized)
+        calendar_cls = TransferCalendar if vectorized else ScalarTransferCalendar
+        calendar = calendar_cls(provider)
         for i in range(num_flights):
             calendar.activate(
                 Transfer(i, i % 64, (i + 1) % 64, 1e12), now=0.0)

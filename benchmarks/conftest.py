@@ -11,17 +11,25 @@ Benchmarks that track a cross-PR perf trajectory pass their result ``record``
 JSON record are then written from the **same in-memory object** — the
 ``record:`` footer of every ``results/*.txt`` is the exact JSON appended to
 the trajectory file, so the two can never drift apart.
+
+Benchmarks that time a production path against its reference
+implementation import the latter from the test oracles
+(``tests/oracles/``), so ``tests`` is put on ``sys.path`` here.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+if str(TESTS_DIR) not in sys.path:
+    sys.path.insert(0, str(TESTS_DIR))
 
 
 class BenchRecordError(ValueError):

@@ -31,17 +31,19 @@ result of an isomorphic component — the penalties are bit-identical to a
 full recomputation (property-tested in
 ``tests/property/test_incremental_properties.py``).
 
-Batched pricing: with ``vectorized=True`` (the default) the engine gathers
-every dirty component that missed the cache and prices the whole set in one
+Batched pricing: the engine gathers every dirty component that missed the
+cache and prices the whole set in one
 :meth:`~repro.core.penalty.ContentionModel.penalties_batch` call — the
 analytic models compute the λ/γ degree counts and penalties of all
 selections as numpy array operations instead of a Python loop per
 communication.  The batch path replicates the scalar arithmetic operation
 for operation (int degree counts convert to float64 exactly, and the
 association order of every product matches the scalar expressions), so the
-penalties are **bit-identical** to ``vectorized=False``;
-``tests/property/test_vectorized_pricing.py`` cross-checks the two paths
-over random delta sequences on every shipped model.
+penalties are **bit-identical** to pricing each component through
+:meth:`~repro.core.penalty.ContentionModel.component_penalties`;
+``tests/property/test_vectorized_pricing.py`` cross-checks the engine
+against that per-component loop (kept as the test oracle
+``tests/oracles/pricing.py``) over random delta sequences.
 """
 
 from __future__ import annotations
@@ -241,12 +243,9 @@ class IncrementalPenaltyEngine:
         Two isomorphic components dirtied in the same batch are then both
         evaluated (serially the second is a cache hit), so the work counters
         may differ from the serial ones even though the penalties are
-        bit-exact.
-    vectorized:
-        When True (default), cache-miss components of one refresh are priced
-        in a single :meth:`~repro.core.penalty.ContentionModel.penalties_batch`
-        call (numpy array operations on the analytic models); ``False``
-        forces the scalar per-component path.  Both are bit-exact.
+        bit-exact.  Without ``map_fn``, the cache-miss components of one
+        refresh are priced in a single
+        :meth:`~repro.core.penalty.ContentionModel.penalties_batch` call.
     """
 
     def __init__(
@@ -255,11 +254,9 @@ class IncrementalPenaltyEngine:
         cache: Optional[PenaltyCache] = None,
         name: str = "in-flight",
         map_fn: Optional[Callable] = None,
-        vectorized: bool = True,
     ) -> None:
         self.model = model
         self.map_fn = map_fn
-        self.vectorized = bool(vectorized)
         self.rule = model.component_rule
         if cache is None and model.structural_penalties:
             cache = PenaltyCache()
@@ -291,8 +288,8 @@ class IncrementalPenaltyEngine:
         """Install the ``pricing.dirty_s`` phase timer from a metrics registry.
 
         Observability hook of the :mod:`repro.obs` layer: every dirty-set
-        evaluation (whatever dispatch path it takes — scalar, batched or
-        parallel) is timed.  Pass ``None`` to uninstall.
+        evaluation (whatever dispatch path it takes — batched or parallel)
+        is timed.  Pass ``None`` to uninstall.
         """
         self._pricing_timer = (registry.timer("pricing.dirty_s")
                                if registry is not None else None)
@@ -489,41 +486,16 @@ class IncrementalPenaltyEngine:
     def _price_dirty_impl(self) -> None:
         if self.map_fn is not None and self.rule is not None:
             self._price_dirty_parallel()
-            return
-        if self.vectorized:
+        else:
             self._price_dirty_batched()
-            return
-        for comp_id in sorted(self._dirty):
-            names = sorted(self._members[comp_id])
-            if self.cache is not None:
-                component_key, endpoint_ranks = self.graph.canonical_component(names)
-                key = (self._model_key, component_key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    for name in names:
-                        self._penalties[name] = cached[endpoint_ranks[name]]
-                    continue
-                self.stats.cache_misses += 1
-                evaluated = self.model.component_penalties(self.graph, names)
-                self.stats.component_evaluations += 1
-                self.stats.comm_evaluations += len(names)
-                self.cache.store(key, endpoint_ranks, evaluated)
-            else:
-                evaluated = self.model.component_penalties(self.graph, names)
-                self.stats.component_evaluations += 1
-                self.stats.comm_evaluations += len(names)
-            for name in names:
-                self._penalties[name] = evaluated[name]
-        self._dirty.clear()
 
     def _price_dirty_batched(self) -> None:
-        """Vectorized :meth:`_price_dirty`: every cache miss in one batch call.
+        """Price every cache miss of the dirty set in one batch call.
 
-        Like the ``map_fn`` parallel path, two isomorphic components dirtied
-        in the same refresh are both evaluated (serially the second is a
-        cache hit), so the work counters may differ from the serial ones
-        even though the penalties are bit-exact.
+        Two isomorphic components dirtied in the same refresh are both
+        evaluated (one at a time, the second would be a cache hit), so the
+        work counters may differ from a per-component loop even though the
+        penalties are bit-exact.
         """
         pending: List[Tuple[List[str], Optional[Hashable], Optional[Dict[str, Tuple[int, int]]]]] = []
         for comp_id in sorted(self._dirty):
@@ -572,19 +544,14 @@ class IncrementalPenaltyEngine:
                 pending.append((names, None, None))
         if len(pending) > 1:
             jobs = [
-                (self.model, self.graph.subgraph(names), tuple(names), self.vectorized)
+                (self.model, self.graph.subgraph(names), tuple(names))
                 for names, _, _ in pending
             ]
             evaluations = list(self.map_fn(_evaluate_component, jobs))
-        elif self.vectorized:  # nothing to parallelize: skip the pool round-trip
+        else:  # nothing to parallelize: skip the pool round-trip
             evaluations = self.model.penalties_batch(
                 self.graph, [names for names, _, _ in pending]
             )
-        else:
-            evaluations = [
-                self.model.component_penalties(self.graph, names)
-                for names, _, _ in pending
-            ]
         # commit phase — no engine state (stats, cache, dirty set) was touched
         # above, so a pool failure leaves a clean retry
         for names, cached, endpoint_ranks in hits:
@@ -628,17 +595,12 @@ class IncrementalPenaltyEngine:
 def _evaluate_component(job: Tuple) -> Dict[str, float]:
     """Evaluate one conflict component (module-level so process pools can pickle it).
 
-    ``job`` is ``(model, component_subgraph, names[, vectorized])``; for a
-    component-local model, pricing the component's subgraph is exactly
-    equivalent to pricing it inside the full graph.  With ``vectorized``
-    true the worker goes through the model's batch path (bit-exact either
-    way).
+    ``job`` is ``(model, component_subgraph, names)``; for a component-local
+    model, pricing the component's subgraph through the model's batch path
+    is exactly equivalent to pricing it inside the full graph.
     """
-    model, graph, names = job[:3]
-    vectorized = job[3] if len(job) > 3 else False
-    if vectorized:
-        return model.penalties_batch(graph, [list(names)])[0]
-    return model.component_penalties(graph, list(names))
+    model, graph, names = job
+    return model.penalties_batch(graph, [list(names)])[0]
 
 
 def cached_penalties(
@@ -647,7 +609,6 @@ def cached_penalties(
     cache: Optional[PenaltyCache] = None,
     map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
-    vectorized: bool = True,
 ) -> Dict[str, float]:
     """Penalties of a static graph through the component/cache machinery.
 
@@ -656,9 +617,8 @@ def cached_penalties(
     scenarios): the graph is partitioned into conflict components under the
     model's rule, isomorphic components are served from ``cache``, and the
     cache misses are evaluated — all in one
-    :meth:`~repro.core.penalty.ContentionModel.penalties_batch` dispatch
-    when ``vectorized`` (the default), or in parallel through ``map_fn``
-    when given.  Bit-exact with ``model.penalties(graph)`` for every
+    :meth:`~repro.core.penalty.ContentionModel.penalties_batch` dispatch,
+    or in parallel through ``map_fn`` when given.  Bit-exact with ``model.penalties(graph)`` for every
     shipped model (component locality, snapshot replay and the batch array
     path are all exact).
     """
@@ -699,16 +659,14 @@ def cached_penalties(
     if pending:
         if map_fn is not None and rule is not None and len(pending) > 1:
             jobs = [
-                (model, graph.subgraph(names), tuple(names), vectorized)
+                (model, graph.subgraph(names), tuple(names))
                 for names, _, _ in pending
             ]
             evaluations = list(map_fn(_evaluate_component, jobs))
-        elif vectorized:
+        else:
             evaluations = model.penalties_batch(
                 graph, [list(names) for names, _, _ in pending]
             )
-        else:
-            evaluations = [model.component_penalties(graph, list(names)) for names, _, _ in pending]
         for (names, key, endpoint_ranks), evaluated in zip(pending, evaluations):
             stats.component_evaluations += 1
             stats.comm_evaluations += len(names)
@@ -728,7 +686,6 @@ def cached_predict(
     cache: Optional[PenaltyCache] = None,
     map_fn: Optional[Callable] = None,
     stats: Optional[EngineStats] = None,
-    vectorized: bool = True,
 ) -> PenaltyPrediction:
     """Cache-aware counterpart of :meth:`ContentionModel.predict`.
 
@@ -736,8 +693,7 @@ def cached_predict(
     diagnostics are skipped (they bypass the component cache and none of the
     sweep consumers read them).
     """
-    pens = cached_penalties(model, graph, cache=cache, map_fn=map_fn, stats=stats,
-                            vectorized=vectorized)
+    pens = cached_penalties(model, graph, cache=cache, map_fn=map_fn, stats=stats)
     times: Dict[str, float] = {}
     if cost_model is not None:
         for comm in graph:

@@ -59,13 +59,13 @@ from __future__ import annotations
 
 import bisect
 from time import perf_counter
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .._numpy import np
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
 from .fluid import SlotMap, Transfer
-from .sharing import FlowSpec, max_min_allocation, water_fill_arrays
+from .sharing import water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
 
@@ -94,22 +94,23 @@ class EmulatorRateProvider:
         Re-solve only the changed flow's coupling component when exactly one
         flow arrived/departed (see the module docstring); pass ``False`` to
         force a full water-filling on every miss.
-    vectorized:
-        When True (default), cache-miss situations are priced through the
-        array water-filling of :func:`repro.network.sharing.water_fill_arrays`
-        over incidence arrays built incrementally from the tracked endpoint
-        multiset (per-transfer resource tuples and per-host directional
-        counts are maintained by ``_track``/``_untrack``, and the capacity
-        vector covers only the resources the active flows reference instead
-        of the O(num_hosts) full topology dictionary).  When False, every
-        miss goes through the historical scalar :class:`FlowSpec` path.  The
-        two are bit-exact — see ``tests/property/test_vectorized_sharing.py``.
+
+    Cache-miss situations are priced through the array water-filling of
+    :func:`repro.network.sharing.water_fill_arrays` over incidence arrays
+    built incrementally from the tracked endpoint multiset (per-transfer
+    resource tuples and per-host directional counts are maintained by
+    ``_track``/``_untrack``, and the capacity vector covers only the
+    resources the active flows reference instead of the O(num_hosts) full
+    topology dictionary).  The historical per-solve
+    :class:`~repro.network.sharing.FlowSpec` construction is kept as a test
+    oracle (``tests/oracles/allocator.py``); the two are bit-exact — see
+    ``tests/property/test_vectorized_sharing.py``.
     """
 
     def __init__(self, technology: NetworkTechnology, topology: Topology | None = None,
                  num_hosts: int = 64, cache_size: int = 4096,
                  cache: Optional[PenaltyCache] = None,
-                 warm_start: bool = True, vectorized: bool = True) -> None:
+                 warm_start: bool = True) -> None:
         self.technology = technology
         self.topology = topology or CrossbarTopology(num_hosts=num_hosts, technology=technology)
         if self.topology.technology is not technology:
@@ -128,7 +129,6 @@ class EmulatorRateProvider:
         self.cache_misses = 0
         self.warm_start = bool(warm_start)
         self.warm_starts = 0
-        self.vectorized = bool(vectorized)
         #: tracked active set, for the delta contract (:meth:`update`)
         self._active: Dict[Hashable, Transfer] = {}
         #: incremental incidence state for the array solver: per transfer the
@@ -211,61 +211,6 @@ class EmulatorRateProvider:
             )
 
     # ---------------------------------------------------------------- helpers
-    def _directional_counts(self, active: Sequence[Transfer]) -> Dict[int, Dict[str, int]]:
-        """Per-host counts of inter-node transfers leaving (tx) and entering (rx)."""
-        counts: Dict[int, Dict[str, int]] = {}
-        for transfer in active:
-            if transfer.is_intra_node:
-                continue
-            counts.setdefault(transfer.src, {"tx": 0, "rx": 0})["tx"] += 1
-            counts.setdefault(transfer.dst, {"tx": 0, "rx": 0})["rx"] += 1
-        return counts
-
-    def _adjusted_capacities(
-        self, counts: Mapping[int, Mapping[str, int]]
-    ) -> Dict[Hashable, float]:
-        """Topology capacities with the income/outgo degradations applied."""
-        sharing = self.technology.sharing
-        capacities = self.topology.capacities()
-        for host, c in counts.items():
-            tx_key, rx_key = self.topology.nic_resources(host)
-            if c["rx"] >= sharing.reverse_threshold and c["tx"] >= 1:
-                capacities[tx_key] *= 1.0 - sharing.tx_capacity_loss
-                capacities[rx_key] *= 1.0 - sharing.rx_capacity_loss
-        return capacities
-
-    def _flow_specs(
-        self,
-        active: Sequence[Transfer],
-        counts: Mapping[int, Mapping[str, int]],
-    ) -> List[FlowSpec]:
-        sharing = self.technology.sharing
-        single = self.technology.single_stream_bandwidth
-        specs: List[FlowSpec] = []
-        for transfer in active:
-            if transfer.is_intra_node:
-                specs.append(
-                    FlowSpec(
-                        flow_id=transfer.transfer_id,
-                        resources=(self.topology.memory_resource(transfer.src),),
-                        cap=self.technology.memory_bandwidth,
-                    )
-                )
-                continue
-            cap = single
-            destination_transmits = counts.get(transfer.dst, {}).get("tx", 0) >= 1
-            if destination_transmits:
-                cap *= 1.0 - sharing.duplex_flow_slowdown
-            tx_key, _ = self.topology.nic_resources(transfer.src)
-            _, rx_key = self.topology.nic_resources(transfer.dst)
-            resources = (tx_key, rx_key) + tuple(
-                self.topology.fabric_route(transfer.src, transfer.dst)
-            )
-            specs.append(
-                FlowSpec(flow_id=transfer.transfer_id, resources=resources, cap=cap)
-            )
-        return specs
-
     def _resource_slot(self, resource: Hashable) -> int:
         """Persistent integer slot of a capacity resource (allocated on first
         reference; the base-capacity array grows by doubling alongside)."""
@@ -301,20 +246,12 @@ class EmulatorRateProvider:
     def _solve(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
         timer = self._solve_timer
         if timer is None:
-            return self._solve_impl(active)
+            return self._solve_arrays(active)
         start = perf_counter()
         try:
-            return self._solve_impl(active)
+            return self._solve_arrays(active)
         finally:
             timer.observe(perf_counter() - start)
-
-    def _solve_impl(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
-        if self.vectorized:
-            return self._solve_arrays(active)
-        counts = self._directional_counts(active)
-        capacities = self._adjusted_capacities(counts)
-        specs = self._flow_specs(active, counts)
-        return max_min_allocation(specs, capacities, vectorized=False)
 
     def _solve_arrays(self, active: Sequence[Transfer]) -> Dict[Hashable, float]:
         """Array water-filling over the incrementally maintained incidence state.
@@ -323,9 +260,9 @@ class EmulatorRateProvider:
         warm-start path): the full-set directional counts agree with the
         component-restricted ones on every host a component flow touches —
         any transfer touching such a host belongs to the component — so the
-        duplex caps and capacity degradations below are exactly those the
-        scalar path computes, and unreferenced resources never influence the
-        water level.  Bit-exact with ``_solve`` under ``vectorized=False``.
+        duplex caps and capacity degradations below are exactly those of a
+        solve over the component alone, and unreferenced resources never
+        influence the water level.
         """
         sharing = self.technology.sharing
         single = self.technology.single_stream_bandwidth

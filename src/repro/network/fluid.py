@@ -40,13 +40,12 @@ Rate providers expose two entry points:
 
 Providers can additionally opt into two faster *array* variants of the
 delta call — same semantics, cheaper handoff; the calendar probes for
-them at construction and uses the fastest one available when running
-vectorized and untraced:
+them at construction and uses the fastest one available when untraced:
 
 * ``update_arrays(added, removed) -> (tids, rates)`` — the changed set as
-  a parallel id list + float64 ndarray instead of a dict, so the
-  vectorized apply consumes the provider's arrays without building (and
-  immediately unpacking) a mapping.
+  a parallel id list + float64 ndarray instead of a dict, so the batched
+  apply consumes the provider's arrays without building (and immediately
+  unpacking) a mapping.
 * ``update_slots(added, added_slots, removed) -> (tids, slots, rates)`` —
   the slot-handle tier: at flush the calendar passes each arrival's
   structure-of-arrays *slot index* alongside the :class:`Transfer`; the
@@ -68,7 +67,7 @@ through the incremental pricing engine's component bookkeeping;
 :class:`repro.network.allocator.EmulatorRateProvider` stores them in its
 endpoint-pair buckets).  All three tiers are bit-exact with one another:
 they must report the same transfers in the same order with identical
-float64 values, which the calendar turns into identical epoch bumps, seq
+float64 values, which the calendar turns into identical re-timings, seq
 numbers and heap entries.  Which tier served each flush is counted in
 ``CalendarStats.handoff_tier_slots``/``_arrays``/``_dict``.  The full tier
 contract, including slot-map ownership rules, is documented in
@@ -78,13 +77,15 @@ Calendar invariants
 -------------------
 :class:`TransferCalendar` maintains, per in-flight transfer, ``remaining``
 bytes, the current ``rate``, the time the rate was last applied from, and an
-``epoch`` counter; the min-heap holds ``(predicted_completion, seq, id,
-epoch)`` entries.
+``epoch``; the min-heap holds ``(predicted_completion, seq, id, epoch)``
+entries.
 
-* **Epoch-stale entries**: re-timing a transfer bumps its epoch and pushes a
-  fresh entry; superseded entries stay in the heap and are discarded when
-  they surface (their epoch no longer matches).  Entries of departed
-  transfers are discarded the same way.
+* **Epoch-stale entries**: re-timing a transfer gives it a fresh epoch and
+  pushes a fresh entry; superseded entries stay in the heap and are
+  discarded when they surface (their epoch no longer matches).  Entries of
+  departed transfers are discarded the same way — also when a later
+  transfer reuses the id, because epochs come from one calendar-wide
+  counter (a new transfer starts at epoch 0, which no entry carries).
 * **Re-timing rule**: a transfer is re-timed (remaining bytes integrated at
   the old rate up to "now", then a new completion predicted at the new
   rate) only when the provider returns a rate whose *value* differs from
@@ -107,11 +108,11 @@ epoch)`` entries.
   Compacted-away entries count into ``CalendarStats.stale_entries`` exactly
   as if they had surfaced and been discarded; ``CalendarStats.compactions``
   counts the rebuilds.  Compaction is checked once after every applied
-  changed set (scalar and array paths alike), after every drift re-timing
-  in the pop loop and after every :meth:`cancel` (a cancel-heavy workload
-  grows only stale entries, so re-timings alone would never trigger it),
-  so the heap stays ``max(COMPACT_MIN_HEAP, 2 × active)``-bounded after
-  every mutating call, and all paths compact at the same program points.
+  changed set (per-flight loop and batch alike), after every drift
+  re-timing in the pop loop and after every :meth:`cancel` (a cancel-heavy
+  workload grows only stale entries, so re-timings alone would never
+  trigger it), so the heap stays ``max(COMPACT_MIN_HEAP, 2 × active)``-
+  bounded after every mutating call.
 * **Zero-rate flights**: a flight whose applied rate is ``<= 0`` gets no
   calendar entry (nothing to predict).  The calendar tracks these in a
   *stalled* set; in delta mode every subsequent :meth:`flush` re-rates them
@@ -136,7 +137,7 @@ foreground ones.  Two hooks exist for injectors:
 
 * :meth:`TransferCalendar.set_rate_scale` installs a post-provider rate
   multiplier (link degradation windows); because scaled rates feed the
-  value-compare in ``_apply_rate``, the scale must only change at
+  value-compare of the re-timing rule, the scale must only change at
   :meth:`TransferCalendar.reprice` boundaries;
 * :meth:`TransferCalendar.reprice` forces a full re-rate of every in-flight
   transfer through ``provider.reset()`` + a full re-add — the re-rate hook
@@ -145,11 +146,9 @@ foreground ones.  Two hooks exist for injectors:
 With no injectors installed (no scale hook, no reprice calls) every code
 path is bit-for-bit identical to the pre-injection calendar.
 
-Array formulation (``vectorized=True``)
----------------------------------------
-The scalar calendar keeps one ``_Flight`` object per transfer and walks a
-Python loop per changed rate.  With ``vectorized=True`` (the default) the
-same state lives in dense **structure-of-arrays** storage
+Flight store
+------------
+Flight state lives in dense **structure-of-arrays** storage
 (:class:`_FlightArrays`): parallel numpy arrays ``remaining`` / ``rate`` /
 ``last_update`` (float64), ``epoch`` (int64) and ``rated`` (bool), indexed
 by an integer *slot* per in-flight transfer.  A :class:`SlotMap` maintains
@@ -157,39 +156,39 @@ the tid↔slot mapping — the same dense-slot-plus-free-list discipline the
 emulator allocator uses for its incidence arrays.  Slot-map invariants:
 
 * every active tid owns exactly one slot; ``SlotMap.slot_of`` preserves
-  *activation order* (so full-set provider queries, missing-rate scans and
-  :meth:`reprice` enumerate transfers in the same order as the scalar
-  ``_flights`` dict);
+  *activation order*, so full-set provider queries, missing-rate scans and
+  :meth:`reprice` enumerate transfers in activation order;
 * released slots go to a free-list and are reused LIFO; array cells of
   free slots are garbage and are never read (liveness is defined by
   ``slot_of`` membership, not by array contents);
 * arrays grow by doubling and never shrink — the slot high-water mark
   bounds their length.
 
-On that substrate a flush applies the provider's changed set in one numpy
-batch: gather old rates by slot, mask the entries whose rate *value*
-actually changed, integrate ``remaining -= rate · dt`` and predict
-``now + remaining / rate`` for the whole changed set elementwise, then
-insert the fresh heap entries either one ``heappush`` at a time or — when
-the batch has at least :attr:`~TransferCalendar.BULK_HEAPIFY_MIN` entries
-and is at least a quarter of the current heap size — by a single
-list-extend + ``heapify`` rebuild (O(heap) once beats O(k·log heap) pushes
-precisely in that regime).  Compaction under the array path evaluates the
-epoch-liveness mask with one vectorized compare instead of a per-entry
-attribute walk.
+A changed set smaller than :attr:`~TransferCalendar.BATCH_MIN` is applied
+flight by flight; a larger one in one numpy batch: gather old rates by
+slot, mask the entries whose rate *value* actually changed, integrate
+``remaining -= rate · dt`` and predict ``now + remaining / rate`` for the
+whole changed set elementwise, then insert the fresh heap entries either
+one ``heappush`` at a time or — when the batch has at least
+:attr:`~TransferCalendar.BULK_HEAPIFY_MIN` entries and is at least a
+quarter of the current heap size — by a single list-extend + ``heapify``
+rebuild (O(heap) once beats O(k·log heap) pushes precisely in that
+regime).  Compaction evaluates the epoch-liveness mask with one
+vectorized compare.
 
-The batch is **bit-exact** with the scalar loop: numpy float64 elementwise
-arithmetic performs the same IEEE-754 operations in the same per-flight
-order, heap entries carry unique ``(completion, seq)`` keys so the pop
-stream is a pure function of the entry *set* (never of the heap's internal
-arrangement), and seq numbers are drawn in the same changed-set order.
+The batch is **bit-exact** with the per-flight loop: numpy float64
+elementwise arithmetic performs the same IEEE-754 operations in the same
+per-flight order, heap entries carry unique ``(completion, seq)`` keys so
+the pop stream is a pure function of the entry *set* (never of the heap's
+internal arrangement), and seq numbers are drawn in changed-set order.
 Tracing never changes the strategy: the batch emits
 ``calendar.stall``/``calendar.retime`` records per flight in changed order
-— the exact interleaving the scalar loop produces — and every path checks
-compaction once per apply (not per push), so traced, untraced, scalar and
-array runs see the same heap evolution and report the same stats.
-Property-tested across vectorized×delta × both provider families in
-``tests/property/test_vectorized_calendar.py``.
+and every path checks compaction once per apply (not per push), so traced
+and untraced runs see the same heap evolution and report the same stats.
+The scalar per-flight calendar this store replaced is kept as a test
+oracle (``tests/oracles/scalar_calendar.py``);
+``tests/property/test_vectorized_calendar.py`` checks the two agree across
+both provider families and both flush paths (delta and full query).
 
 Simulation cost therefore scales with *state changes* (how many transfers
 each arrival/departure re-prices) rather than with the size of the active
@@ -281,11 +280,11 @@ __all__ = [
 class SlotMap:
     """Dense integer slots for hashable keys, with LIFO free-list reuse.
 
-    The tid↔slot discipline shared by the vectorized calendar's
-    structure-of-arrays flight store and the emulator allocator's persistent
-    resource index: keys acquire the lowest-overhead available slot (a freed
-    one if any, else the high-water mark), so parallel arrays indexed by
-    slot stay dense and bounded by the peak live-set size.
+    The tid↔slot discipline shared by the calendar's structure-of-arrays
+    flight store and the emulator allocator's persistent resource index:
+    keys acquire the lowest-overhead available slot (a freed one if any,
+    else the high-water mark), so parallel arrays indexed by slot stay
+    dense and bounded by the peak live-set size.
 
     ``slot_of`` is the public key → slot mapping; its iteration order is
     *acquisition order* of the currently live keys (a plain insertion-ordered
@@ -442,12 +441,12 @@ class CalendarStats:
     cancelled: int = 0
     #: forced re-rates of zero-rated flights through the delta API
     stall_retries: int = 0
-    #: bulk heapify-merges of batched re-timings (array path only)
+    #: bulk heapify-merges of batched re-timings
     bulk_merges: int = 0
     #: heap entries inserted through bulk merges (⊆ ``retimed``)
     bulk_entries: int = 0
     #: flushes served by each provider handoff tier (slots/arrays/dict);
-    #: strategy counters — they differ between scalar and vectorized runs
+    #: strategy counters — they name the handoff taken, not the work done
     handoff_tier_slots: int = 0
     handoff_tier_arrays: int = 0
     handoff_tier_dict: int = 0
@@ -477,29 +476,15 @@ class CalendarStats:
         return self.freeze().as_dict()
 
 
-class _Flight:
-    """Calendar-side state of one in-flight transfer."""
-
-    __slots__ = ("transfer", "remaining", "rate", "rated", "last_update", "epoch")
-
-    def __init__(self, transfer: Transfer, remaining: float, now: float) -> None:
-        self.transfer = transfer
-        self.remaining = remaining
-        self.rate = 0.0
-        self.rated = False
-        self.last_update = now
-        self.epoch = 0
-
-
 class _FlightArrays:
-    """Structure-of-arrays flight store of the vectorized calendar.
+    """Structure-of-arrays flight store of :class:`TransferCalendar`.
 
-    The same per-flight fields as :class:`_Flight`, as dense slot-indexed
-    numpy arrays (see the module docstring's array-formulation section for
-    the invariants).  ``transfer`` is a parallel Python list (the only
-    per-flight object field); ``unrated`` counts live flights whose rate has
-    never been applied, so the delta-mode missing-rate scan can be skipped
-    entirely in the steady state.
+    Per-flight state as dense slot-indexed numpy arrays (see the module
+    docstring's flight-store section for the invariants).  ``transfer`` is
+    a parallel Python list (the only per-flight object field); ``unrated``
+    counts live flights whose rate has never been applied, so the
+    delta-mode missing-rate scan can be skipped entirely in the steady
+    state.
     """
 
     __slots__ = ("slots", "transfer", "remaining", "rate", "last_update",
@@ -539,6 +524,8 @@ class _FlightArrays:
         self.remaining[slot] = remaining
         self.rate[slot] = 0.0
         self.last_update[slot] = now
+        # no heap entry carries epoch 0 (every re-timing draws a fresh
+        # calendar-wide epoch first), so a new tenant starts out matching none
         self.epoch[slot] = 0
         self.rated[slot] = False
         self.unrated += 1
@@ -552,7 +539,7 @@ class _FlightArrays:
         return slot
 
     def transfers(self) -> List[Transfer]:
-        """Live transfers in activation order (the scalar ``_flights`` order)."""
+        """Live transfers in activation order."""
         transfer = self.transfer
         return [transfer[slot] for slot in self.slots.slot_of.values()]
 
@@ -571,13 +558,10 @@ class TransferCalendar:
     rate_provider:
         The provider; when it implements ``update`` (the delta contract)
         each flush hands it only the arrivals/departures since the previous
-        flush.  A rates-only provider is re-queried with the full active set
-        and the changed rates are found by value-diff — semantically
-        identical, O(active) per flush.
-    delta:
-        ``None`` (default) auto-detects ``update``; ``False`` forces the
-        full-query path even for delta providers (the verification mode the
-        property tests compare against); ``True`` requires a delta provider.
+        flush, through the fastest handoff tier it speaks.  A rates-only
+        provider is re-queried with the full active set and the changed
+        rates are found by value-diff — semantically identical, O(active)
+        per flush.
     missing_rate:
         What to do when the provider returns no rate for a live transfer:
         ``"error"`` raises (the fluid simulator's historical behaviour),
@@ -593,12 +577,6 @@ class TransferCalendar:
         sampled when the registry sets
         :attr:`~repro.obs.MetricsRegistry.timer_sample_every`).  Mirrors
         the trace contract: ``None`` costs one pointer test per flush.
-    vectorized:
-        When True (default), flight state lives in the structure-of-arrays
-        store and batched rate applications run through numpy — bit-exact
-        with the scalar path (see the module docstring's array-formulation
-        section).  ``False`` keeps the historical per-``_Flight``-object
-        path (the verification twin the property tests compare against).
     """
 
     EPSILON = 1e-12
@@ -618,29 +596,19 @@ class TransferCalendar:
     def __init__(
         self,
         rate_provider: RateProvider,
-        delta: Optional[bool] = None,
         missing_rate: str = "error",
         trace: Optional[TraceSink] = None,
         metrics=None,
-        vectorized: bool = True,
     ) -> None:
         if missing_rate not in ("error", "zero"):
             raise SimulationError(f"unknown missing_rate policy {missing_rate!r}")
-        has_update = callable(getattr(rate_provider, "update", None))
-        if delta is True and not has_update:
-            raise SimulationError(
-                "delta=True requires a rate provider with an update() method"
-            )
         self.provider = rate_provider
-        self.delta = has_update if delta is None else bool(delta)
+        self.delta = callable(getattr(rate_provider, "update", None))
         self.missing_rate = missing_rate
-        self.vectorized = bool(vectorized)
         self._trace = active_sink(trace)
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
         self.stats = CalendarStats()
-        self._flights: Dict[Hashable, _Flight] = {}
-        #: structure-of-arrays flight store; ``None`` on the scalar path
-        self._arr: Optional[_FlightArrays] = _FlightArrays() if self.vectorized else None
+        self._arr = _FlightArrays()
         #: array-handoff delta entry point of the provider, when it has one
         update_arrays = getattr(rate_provider, "update_arrays", None)
         self._update_arrays = update_arrays if callable(update_arrays) else None
@@ -651,6 +619,10 @@ class TransferCalendar:
         self._update_slots = update_slots if callable(update_slots) else None
         self._heap: List[Tuple[float, int, Hashable, int]] = []
         self._seq = itertools.count()
+        #: last epoch handed out; epochs are calendar-wide, so an entry left
+        #: behind by a departed transfer can never match a later transfer
+        #: that reuses its id
+        self._epoch = 0
         self._pending_added: Dict[Hashable, Transfer] = {}
         self._pending_removed: List[Hashable] = []
         #: flights whose applied rate is <= 0 (insertion-ordered for diagnostics)
@@ -661,39 +633,29 @@ class TransferCalendar:
     # --------------------------------------------------------------- queries
     @property
     def active_count(self) -> int:
-        if self._arr is not None:
-            return len(self._arr.slots)
-        return len(self._flights)
+        return len(self._arr.slots)
 
     def remaining(self, tid: Hashable) -> float:
         """Remaining bytes as of the flight's last integration point."""
-        if self._arr is not None:
-            return float(self._arr.remaining[self._arr.slots.slot_of[tid]])
-        return self._flights[tid].remaining
+        return float(self._arr.remaining[self._arr.slots.slot_of[tid]])
 
     def is_active(self, tid: Hashable) -> bool:
-        if self._arr is not None:
-            return tid in self._arr.slots
-        return tid in self._flights
+        return tid in self._arr.slots
 
     def stalled_ids(self) -> Tuple[Hashable, ...]:
         """Ids of flights currently zero-rated (no calendar entry), in order."""
         return tuple(self._stalled)
 
-    def _live_epoch(self, tid: Hashable) -> Optional[int]:
-        """Current epoch of a live flight, or ``None`` when departed."""
-        if self._arr is not None:
-            slot = self._arr.slots.slot_of.get(tid)
-            return None if slot is None else int(self._arr.epoch[slot])
-        flight = self._flights.get(tid)
-        return None if flight is None else flight.epoch
-
     def next_time(self) -> Optional[float]:
         """Earliest valid predicted completion, or ``None``."""
-        while self._heap:
-            time, _, tid, epoch = self._heap[0]
-            if self._live_epoch(tid) != epoch:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        slot_of = self._arr.slots.slot_of
+        epoch_arr = self._arr.epoch
+        while heap:
+            time, _, tid, epoch = heap[0]
+            slot = slot_of.get(tid)
+            if slot is None or epoch_arr[slot] != epoch:
+                heapq.heappop(heap)
                 self.stats.stale_entries += 1
                 continue
             return time
@@ -703,15 +665,9 @@ class TransferCalendar:
     def activate(self, transfer: Transfer, now: float) -> None:
         """A transfer starts progressing at ``now`` (joins the next flush)."""
         tid = transfer.transfer_id
-        arr = self._arr
-        if arr is not None:
-            if tid in arr.slots:
-                raise SimulationError(f"transfer {tid!r} is already active")
-            arr.add(tid, transfer, float(transfer.size), now)
-        else:
-            if tid in self._flights:
-                raise SimulationError(f"transfer {tid!r} is already active")
-            self._flights[tid] = _Flight(transfer, float(transfer.size), now)
+        if tid in self._arr.slots:
+            raise SimulationError(f"transfer {tid!r} is already active")
+        self._arr.add(tid, transfer, float(transfer.size), now)
         self._pending_added[tid] = transfer
         self.stats.activations += 1
         if self._trace is not None:
@@ -730,21 +686,13 @@ class TransferCalendar:
         creates stale entries without ever re-timing) keeps the heap bound.
         """
         arr = self._arr
-        if arr is not None:
-            slot = arr.slots.slot_of.get(tid)
-            if slot is None:
-                raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
-            self._integrate_slot(slot, now)
-            remaining = float(arr.remaining[slot])
-            transfer = arr.transfer[slot]
-            arr.remove(tid)
-        else:
-            flight = self._flights.pop(tid, None)
-            if flight is None:
-                raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
-            self._integrate(flight, now)
-            remaining = flight.remaining
-            transfer = flight.transfer
+        slot = arr.slots.slot_of.get(tid)
+        if slot is None:
+            raise SimulationError(f"cannot cancel unknown transfer {tid!r}")
+        self._integrate_slot(slot, now)
+        remaining = float(arr.remaining[slot])
+        transfer = arr.transfer[slot]
+        arr.remove(tid)
         if tid in self._pending_added:
             del self._pending_added[tid]  # the provider never saw it
         else:
@@ -773,33 +721,8 @@ class TransferCalendar:
         """
         self._rate_scale = scale
 
-    def _integrate(self, flight: _Flight, now: float) -> None:
-        if flight.rated and flight.rate > 0.0:
-            dt = now - flight.last_update
-            if dt > 0.0:
-                flight.remaining -= flight.rate * dt
-        flight.last_update = now
-
-    def _retime(self, tid: Hashable, flight: _Flight, now: float) -> None:
-        # compaction is NOT checked here: every caller checks it once after
-        # its whole batch of re-timings (end of _apply_changed, the pop_due
-        # drift branch, cancel), so the scalar and batched-array paths
-        # compact at the same program points with the same heap contents
-        flight.epoch += 1
-        if flight.rated and flight.rate > 0.0:
-            completion = now + flight.remaining / flight.rate
-            heapq.heappush(self._heap, (completion, next(self._seq), tid, flight.epoch))
-            self.stats.retimed += 1
-            if self._trace is not None:
-                self._trace.emit(TraceRecord(now, "calendar.retime", tid, {
-                    "rate": flight.rate, "remaining": flight.remaining,
-                    "completion": completion,
-                }))
-
-    # ------------------------------------------------- array-path primitives
+    # ---------------------------------------------------- per-flight updates
     def _integrate_slot(self, slot: int, now: float) -> None:
-        # the scalar _integrate over the SoA store: same operations on the
-        # same float64 values, so the stored bytes are bit-identical
         arr = self._arr
         if arr.rated[slot]:
             rate = arr.rate[slot]
@@ -810,8 +733,13 @@ class TransferCalendar:
         arr.last_update[slot] = now
 
     def _retime_slot(self, tid: Hashable, slot: int, now: float) -> None:
+        # compaction is NOT checked here: every caller checks it once after
+        # its whole batch of re-timings (end of _apply_changed, the pop_due
+        # drift branch, cancel), so the per-flight and batched paths compact
+        # at the same program points with the same heap contents
         arr = self._arr
-        epoch = int(arr.epoch[slot]) + 1
+        self._epoch += 1
+        epoch = self._epoch
         arr.epoch[slot] = epoch
         if arr.rated[slot]:
             rate = arr.rate[slot]
@@ -830,8 +758,8 @@ class TransferCalendar:
 
     def _apply_rate_slot(self, tid: Hashable, slot: int, rate: float,
                          now: float) -> None:
-        # the scalar _apply_rate over the SoA store (same order of effects,
-        # including the stall-trace-before-value-compare interleaving)
+        # the stall bookkeeping (and its trace record) comes before the
+        # value compare, so an unchanged zero rate still reads as stalled
         arr = self._arr
         if self._rate_scale is not None:
             rate = rate * self._rate_scale(arr.transfer[slot])
@@ -861,38 +789,30 @@ class TransferCalendar:
         # rebuild heapifies anyway (skipping the fresh tail in its liveness
         # scan), or the no-compaction exit heapifies the merged heap.
         arr = self._arr
-        active = len(arr.slots) if arr is not None else len(self._flights)
         heap = self._heap
         if (len(heap) < self.COMPACT_MIN_HEAP
-                or len(heap) <= 2 * active):
+                or len(heap) <= 2 * len(arr.slots)):
             if fresh:
                 heapq.heapify(heap)
             return
-        if arr is not None:
-            # vectorized epoch-liveness mask: gather each entry's slot (−1
-            # when the flight departed) and compare stored vs entry epochs
-            # in one array op; the per-entry extraction runs entirely at
-            # C level (map/itemgetter feeding fromiter, compress selecting
-            # the survivors in heap order)
-            scan = heap[:len(heap) - fresh] if fresh else heap
-            n = len(scan)
-            get = arr.slots.slot_of.get
-            slots = np.fromiter(
-                map(get, map(itemgetter(2), scan), itertools.repeat(-1)),
-                dtype=np.intp, count=n)
-            epochs = np.fromiter(map(itemgetter(3), scan),
-                                 dtype=np.int64, count=n)
-            valid = slots >= 0
-            alive = valid & (arr.epoch[np.where(valid, slots, 0)] == epochs)
-            live = list(itertools.compress(scan, alive.tolist()))
-            if fresh:
-                live.extend(heap[len(heap) - fresh:])
-        else:
-            live = []
-            for entry in heap:
-                flight = self._flights.get(entry[2])
-                if flight is not None and flight.epoch == entry[3]:
-                    live.append(entry)
+        # vectorized epoch-liveness mask: gather each entry's slot (−1 when
+        # the flight departed) and compare stored vs entry epochs in one
+        # array op; the per-entry extraction runs entirely at C level
+        # (map/itemgetter feeding fromiter, compress selecting the survivors
+        # in heap order)
+        scan = heap[:len(heap) - fresh] if fresh else heap
+        n = len(scan)
+        get = arr.slots.slot_of.get
+        slots = np.fromiter(
+            map(get, map(itemgetter(2), scan), itertools.repeat(-1)),
+            dtype=np.intp, count=n)
+        epochs = np.fromiter(map(itemgetter(3), scan),
+                             dtype=np.int64, count=n)
+        valid = slots >= 0
+        alive = valid & (arr.epoch[np.where(valid, slots, 0)] == epochs)
+        live = list(itertools.compress(scan, alive.tolist()))
+        if fresh:
+            live.extend(heap[len(heap) - fresh:])
         self.stats.stale_entries += len(heap) - len(live)
         heapq.heapify(live)
         dropped = len(heap) - len(live)
@@ -925,19 +845,18 @@ class TransferCalendar:
         timer.observe(counter() - start)
 
     def _flush(self, now: float) -> None:
+        added_count = len(self._pending_added)
+        removed_count = len(self._pending_removed)
         if self.delta:
-            if not self._pending_added and not self._pending_removed:
+            if not added_count and not removed_count:
                 if self._stalled:
                     self._retry_stalled(now)
                 return
-            added_count = len(self._pending_added)
-            removed_count = len(self._pending_removed)
             added = list(self._pending_added.values())
             removed = list(self._pending_removed)
             use_slots = (self._update_slots is not None
                          and self._rate_scale is None)
-            if (self._arr is not None and self._trace is None
-                    and (use_slots or self._update_arrays is not None)):
+            if self._trace is None and (use_slots or self._update_arrays is not None):
                 slots = None
                 if use_slots:
                     # slot-handle handoff: each arrival carries the slot
@@ -963,27 +882,19 @@ class TransferCalendar:
                     self.stats.handoff_tier_arrays += 1
                 self.stats.rate_updates += len(tids)
                 self.stats.active_at_flush += len(self._arr.slots)
-                self._apply_changed_array(tids, rates, now, None, slots=slots)
+                self._apply_changed(tids, rates, now, slots=slots)
                 if self._stalled:
                     self._retry_stalled(now)
                 return
             changed: Mapping[Hashable, float] = self.provider.update(added, removed)
-            self._pending_added.clear()
-            self._pending_removed.clear()
         else:
             if not self.active_count:
                 self._pending_added.clear()
                 self._pending_removed.clear()
                 return
-            added_count = len(self._pending_added)
-            removed_count = len(self._pending_removed)
-            if self._arr is not None:
-                active = self._arr.transfers()
-            else:
-                active = [flight.transfer for flight in self._flights.values()]
-            changed = self.provider.rates(active)
-            self._pending_added.clear()
-            self._pending_removed.clear()
+            changed = self.provider.rates(self._arr.transfers())
+        self._pending_added.clear()
+        self._pending_removed.clear()
         self.stats.flushes += 1
         self.stats.handoff_tier_dict += 1
         self.stats.rate_updates += len(changed)
@@ -993,44 +904,23 @@ class TransferCalendar:
                 "added": added_count, "removed": removed_count,
                 "changed": len(changed), "active": self.active_count,
             }))
-        self._apply_changed(changed, now)
+        self._apply_changed_map(changed, now)
         if self.delta and self._stalled:
             self._retry_stalled(now)
 
-    def _apply_changed(self, changed: Mapping[Hashable, float], now: float) -> None:
-        if self._arr is not None:
-            self._apply_changed_array(list(changed.keys()),
-                                      list(changed.values()), now, changed)
-            return
-        for tid, rate in changed.items():
-            flight = self._flights.get(tid)
-            if flight is None:
-                continue  # a full-map shim may echo ids the caller never activated
-            if rate < 0:
-                raise SimulationError(f"negative rate for transfer {tid!r}")
-            self._apply_rate(tid, flight, rate, now)
-        # in delta mode absence from `changed` means "rate unchanged" (the
-        # contract); on a full query it means the provider dropped a live
-        # transfer — never acceptable under "error", a zero rate under "zero"
-        if self.delta:
-            missing = [tid for tid, flight in self._flights.items()
-                       if not flight.rated]
-        else:
-            missing = [tid for tid in self._flights if tid not in changed]
-        if missing:
-            if self.missing_rate == "error":
-                raise SimulationError(f"rate provider returned no rate for {missing!r}")
-            for tid in missing:
-                self._apply_rate(tid, self._flights[tid], 0.0, now)
-        self._maybe_compact(now)
+    def _apply_changed_map(self, changed: Mapping[Hashable, float],
+                           now: float) -> None:
+        """Apply a dict-tier (or full-query) changed set."""
+        self._apply_changed(list(changed.keys()), list(changed.values()), now,
+                            full_keys=changed)
 
-    def _apply_changed_array(self, tids: Sequence[Hashable], rates,
-                             now: float, full_keys, slots=None) -> None:
-        """Apply a changed set on the array path.
+    def _apply_changed(self, tids: Sequence[Hashable], rates, now: float,
+                       full_keys=None, slots=None) -> None:
+        """Apply a changed set.
 
         ``rates`` is a float sequence or ndarray aligned with ``tids``;
         ``full_keys`` is the changed-id container for the full-query missing
-        scan (``None`` in delta mode, where absence means "unchanged").
+        scan (ignored in delta mode, where absence means "unchanged").
         ``slots``, when given, is the slot-handle handoff's intp ndarray
         aligned with ``tids`` — authoritative (no unknown-id filtering), so
         the whole gather is skipped.  Tiny batches run the per-flight loop;
@@ -1059,6 +949,10 @@ class TransferCalendar:
                     self._apply_rate_slot(tid, slot, float(rate), now)
         else:
             fresh = self._apply_batch(tids, rates, now, slots=slots)
+        # in delta mode absence from the changed set means "rate unchanged"
+        # (the contract); on a full query it means the provider dropped a
+        # live transfer — never acceptable under "error", a zero rate under
+        # "zero"
         if full_keys is None or self.delta:
             missing = ([tid for tid, slot in arr.slots.slot_of.items()
                         if not arr.rated[slot]] if arr.unrated else [])
@@ -1082,18 +976,18 @@ class TransferCalendar:
         """One numpy dispatch over the whole changed set.
 
         Performs, for every flight whose rate value changed: integrate at
-        the old rate, store the new rate, bump the epoch, and predict the
-        new completion — all elementwise, in the same per-flight operation
-        order as the scalar loop (so the stored float64 state is
-        bit-identical).  Fresh heap entries are heappushed individually or,
-        above the bulk threshold, appended *unsifted* — the returned count
-        tells the caller how many tail entries await the deferred heapify
-        that ``_maybe_compact`` performs (returns 0 when the heap invariant
-        already holds).  The pop stream is identical either way because
-        entries carry unique ``(completion, seq)`` keys.  When traced,
-        ``calendar.stall`` / ``calendar.retime`` records are emitted per
-        flight in changed order — the exact interleaving the scalar loop
-        produces.  Unlike the scalar loop, a negative rate is rejected
+        the old rate, store the new rate, draw a fresh epoch, and predict
+        the new completion — all elementwise, in the same per-flight
+        operation order as :meth:`_apply_rate_slot` (so the stored float64
+        state is bit-identical).  Fresh heap entries are heappushed
+        individually or, above the bulk threshold, appended *unsifted* —
+        the returned count tells the caller how many tail entries await the
+        deferred heapify that ``_maybe_compact`` performs (returns 0 when
+        the heap invariant already holds).  The pop stream is identical
+        either way because entries carry unique ``(completion, seq)`` keys.
+        When traced, ``calendar.stall`` / ``calendar.retime`` records are
+        emitted per flight in changed order — the interleaving of the
+        per-flight loop.  Unlike that loop, a negative rate is rejected
         before *any* of the batch is applied (conforming providers never
         return one).  When the slot-handle handoff supplies ``slots``, the
         tid→slot gather is skipped entirely; the handles are authoritative
@@ -1147,7 +1041,7 @@ class TransferCalendar:
                 slot = slot_of.get(tid)
                 if slot is None:
                     continue
-                if rate < 0:  # validate the raw rate, like the scalar loop
+                if rate < 0:  # validate the raw rate, like the per-flight loop
                     raise SimulationError(f"negative rate for transfer {tid!r}")
                 kept_tids.append(tid)
                 slot_list.append(slot)
@@ -1161,8 +1055,8 @@ class TransferCalendar:
         # stall-set bookkeeping, in changed order (skipped entirely in the
         # common all-positive, nothing-stalled case — a single float
         # compare); when traced, capture which flights are *newly* stalled
-        # — the scalar loop emits a stall record exactly for those, before
-        # its value compare
+        # — the per-flight loop emits a stall record exactly for those,
+        # before its value compare
         trace = self._trace
         stall_new: Optional[List[int]] = None
         if self._stalled or mn <= 0.0:
@@ -1235,7 +1129,9 @@ class TransferCalendar:
             newly_rated = int(ci.size - np.count_nonzero(c_rated_old))
             if newly_rated:
                 arr.unrated -= newly_rated
-        epochs = arr.epoch[cs] + 1
+        epochs = np.arange(self._epoch + 1, self._epoch + 1 + ci.size,
+                           dtype=np.int64)
+        self._epoch += int(ci.size)
         arr.epoch[cs] = epochs
         positive = c_rate_new > 0.0
         if np.count_nonzero(positive) == positive.size:
@@ -1255,13 +1151,13 @@ class TransferCalendar:
             entry_tids = [kept_tids[batch_index[0]]] if m else []
         # C-level tuple assembly, consumed exactly once below (extend or the
         # push loop); islice consumes exactly the m sequence numbers the
-        # scalar loop's per-entry next() would
+        # per-flight loop's per-entry next() would
         entries = zip(completions, itertools.islice(self._seq, m),
                       entry_tids, entry_epochs)
         if trace is not None and (m or stall_new):
-            # replay the scalar loop's record interleaving: per flight in
-            # changed order, a stall record (if newly stalled) then a retime
-            # record (if the value changed to a positive rate)
+            # replay the per-flight loop's record interleaving: per flight
+            # in changed order, a stall record (if newly stalled) then a
+            # retime record (if the value changed to a positive rate)
             retime_j = {bi: j for j, bi in enumerate(batch_index)}
             retime_rates = (c_rate_new if pi is None else c_rate_new[pi]).tolist()
             retime_rems = (rem if pi is None else rem[pi]).tolist()
@@ -1304,18 +1200,13 @@ class TransferCalendar:
         component).
         """
         arr = self._arr
-        if arr is not None:
-            slot_of = arr.slots.slot_of
-            retry = [tid for tid in self._stalled if tid in slot_of]
-            transfer = arr.transfer
-            transfers = [transfer[slot_of[tid]] for tid in retry]
-        else:
-            retry = [tid for tid in self._stalled if tid in self._flights]
-            transfers = [self._flights[tid].transfer for tid in retry]
+        slot_of = arr.slots.slot_of
+        retry = [tid for tid in self._stalled if tid in slot_of]
         if not retry:
             return
-        if (arr is not None and self._trace is None
-                and self._update_slots is not None
+        transfer = arr.transfer
+        transfers = [transfer[slot_of[tid]] for tid in retry]
+        if (self._trace is None and self._update_slots is not None
                 and self._rate_scale is None):
             # slot-tier retry: the departure+arrival cycle must re-register
             # each flight's slot handle with the provider (a dict-tier
@@ -1326,7 +1217,7 @@ class TransferCalendar:
                 transfers, added_slots, list(retry))
             self.stats.stall_retries += len(retry)
             self.stats.rate_updates += len(tids)
-            self._apply_changed_array(tids, rates, now, None, slots=slots)
+            self._apply_changed(tids, rates, now, slots=slots)
             return
         changed = self.provider.update(transfers, list(retry))
         self.stats.stall_retries += len(retry)
@@ -1339,7 +1230,7 @@ class TransferCalendar:
                 "ids": [str(tid)
                         for tid in retry[:self.STALL_RETRY_TRACE_IDS]],
             }))
-        self._apply_changed(changed, now)
+        self._apply_changed_map(changed, now)
 
     def reprice(self, now: float) -> None:
         """Force a full re-rate of every in-flight transfer.
@@ -1359,10 +1250,7 @@ class TransferCalendar:
         self.flush(now)
         if not self.active_count:
             return
-        if self._arr is not None:
-            transfers = self._arr.transfers()
-        else:
-            transfers = [flight.transfer for flight in self._flights.values()]
+        transfers = self._arr.transfers()
         if self.delta:
             reset = getattr(self.provider, "reset", None)
             if not callable(reset):
@@ -1372,8 +1260,7 @@ class TransferCalendar:
             reset()
             use_slots = (self._update_slots is not None
                          and self._rate_scale is None)
-            if (self._arr is not None and self._trace is None
-                    and (use_slots or self._update_arrays is not None)):
+            if self._trace is None and (use_slots or self._update_arrays is not None):
                 slots = None
                 if use_slots:
                     # re-seed every flight's slot handle with the freshly
@@ -1389,7 +1276,7 @@ class TransferCalendar:
                 self.stats.flushes += 1
                 self.stats.rate_updates += len(tids)
                 self.stats.active_at_flush += self.active_count
-                self._apply_changed_array(tids, rates, now, None, slots=slots)
+                self._apply_changed(tids, rates, now, slots=slots)
                 return
             changed: Mapping[Hashable, float] = self.provider.update(transfers, [])
         else:
@@ -1402,25 +1289,7 @@ class TransferCalendar:
             self._trace.emit(TraceRecord(now, "calendar.reprice", None, {
                 "active": self.active_count, "changed": len(changed),
             }))
-        self._apply_changed(changed, now)
-
-    def _apply_rate(self, tid: Hashable, flight: _Flight, rate: float,
-                    now: float) -> None:
-        if self._rate_scale is not None:
-            rate = rate * self._rate_scale(flight.transfer)
-        if rate <= 0.0:
-            if self._trace is not None and tid not in self._stalled:
-                self._trace.emit(TraceRecord(now, "calendar.stall", tid,
-                                             {"rate": rate}))
-            self._stalled[tid] = None
-        else:
-            self._stalled.pop(tid, None)
-        if flight.rated and rate == flight.rate:
-            return  # value unchanged: the calendar entry stays valid
-        self._integrate(flight, now)
-        flight.rate = rate
-        flight.rated = True
-        self._retime(tid, flight, now)
+        self._apply_changed_map(changed, now)
 
     def pop_due(self, now: float) -> List[Transfer]:
         """Complete every transfer whose calendar entry is due at ``now``.
@@ -1429,47 +1298,12 @@ class TransferCalendar:
         of the next flush; the list preserves entry order (callers that need
         a different completion order sort it themselves).
         """
-        if self._arr is not None:
-            return self._pop_due_array(now)
-        done: List[Transfer] = []
-        while self._heap:
-            time, _, tid, epoch = self._heap[0]
-            flight = self._flights.get(tid)
-            if flight is None or flight.epoch != epoch:
-                heapq.heappop(self._heap)
-                self.stats.stale_entries += 1
-                continue
-            if time > now + self.EPSILON:
-                break
-            heapq.heappop(self._heap)
-            self._integrate(flight, now)
-            clock_resolution = max(abs(now), 1.0) * 1e-12
-            negligible = (
-                flight.remaining <= max(self.EPSILON, self.EPSILON_BYTES)
-                or (flight.rate > 0.0
-                    and flight.remaining / flight.rate <= clock_resolution)
-            )
-            if not negligible:
-                self._retime(tid, flight, now)  # fp drift: try again later
-                self._maybe_compact(now)
-                continue
-            del self._flights[tid]
-            self._stalled.pop(tid, None)
-            self._pending_removed.append(tid)
-            done.append(flight.transfer)
-            self.stats.completions += 1
-            if self._trace is not None:
-                self._trace.emit(TraceRecord(now, "calendar.complete", tid, {}))
-        return done
-
-    def _pop_due_array(self, now: float) -> List[Transfer]:
-        # the scalar pop loop over the SoA store; Python-float arithmetic on
-        # values read out of the arrays (exact conversions both ways), so the
-        # negligibility decisions match the scalar path bit for bit.  Every
-        # invariant quantity is hoisted out of the loop (the stale-skip runs
-        # thousands of iterations per call on churn-heavy workloads, where
-        # attribute lookups and call frames dominate); _integrate_slot is
-        # inlined with the identical numpy-scalar arithmetic
+        # Python-float arithmetic on values read out of the arrays (exact
+        # conversions both ways).  Every invariant quantity is hoisted out
+        # of the loop (the stale-skip runs thousands of iterations per call
+        # on churn-heavy workloads, where attribute lookups and call frames
+        # dominate); _integrate_slot is inlined with the identical
+        # numpy-scalar arithmetic
         arr = self._arr
         slot_of = arr.slots.slot_of
         heap = self._heap
@@ -1645,10 +1479,6 @@ class FluidTransferSimulator:
     latency:
         Per-transfer startup latency in seconds, added before the first byte
         flows (one-way network latency plus protocol handshake).
-    delta:
-        Forwarded to :class:`TransferCalendar` — ``None`` auto-detects the
-        provider's delta ``update`` API, ``False`` forces full-set
-        re-queries (the verification mode; bit-exact with the delta path).
     injectors:
         Interference injectors (:mod:`repro.simulator.interference`) whose
         events interleave with the transfer calendar: background flows
@@ -1667,30 +1497,22 @@ class FluidTransferSimulator:
         (:meth:`~repro.simulator.providers.ModelRateProvider.
         register_metrics`) and the calendar counters join as the
         ``calendar`` source.  ``None`` is the bit-exact unmetered path.
-    vectorized:
-        Forwarded to :class:`TransferCalendar` — True (default) runs the
-        structure-of-arrays calendar, ``False`` the scalar verification
-        twin.  Bit-exact either way.
     """
 
     #: bytes below which a transfer is considered finished (numerical guard)
     EPSILON_BYTES = TransferCalendar.EPSILON_BYTES
 
     def __init__(self, rate_provider: RateProvider, latency: float = 0.0,
-                 delta: Optional[bool] = None,
                  injectors: Sequence = (),
                  trace: Optional[TraceSink] = None,
-                 metrics=None,
-                 vectorized: bool = True) -> None:
+                 metrics=None) -> None:
         if latency < 0:
             raise SimulationError(f"latency must be non-negative, got {latency}")
         self.rate_provider = rate_provider
         self.latency = latency
-        self.delta = delta
         self.injectors = tuple(injectors)
         self.trace = active_sink(trace)
         self.metrics = metrics
-        self.vectorized = bool(vectorized)
         #: calendar work counters of the most recent :meth:`run`
         self.last_calendar_stats: Optional[CalendarStatsSnapshot] = None
 
@@ -1707,10 +1529,8 @@ class FluidTransferSimulator:
         if callable(reset):
             reset()
         trace = self.trace
-        calendar = TransferCalendar(self.rate_provider, delta=self.delta,
-                                    missing_rate="error", trace=trace,
-                                    metrics=self.metrics,
-                                    vectorized=self.vectorized)
+        calendar = TransferCalendar(self.rate_provider, missing_rate="error",
+                                    trace=trace, metrics=self.metrics)
         if self.metrics is not None:
             self.metrics.register_source("calendar", calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)

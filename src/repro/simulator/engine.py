@@ -27,10 +27,9 @@ returns the rates of exactly the transfers it re-priced (with the default
 the conflict components the delta dirtied), and only transfers whose rate
 *value* changed have their remaining bytes integrated and their completion
 re-timed.  Per-step work therefore scales with the state change, not with
-the number of in-flight transfers.  Setting
-:attr:`EngineConfig.delta_rates` to ``False`` re-queries the full active
-set each step instead (bit-exact with the delta path — property-tested in
-``tests/property/test_calendar_engine.py``).
+the number of in-flight transfers.  A provider without ``update`` is
+re-queried with the full active set each step instead (bit-exact with the
+delta path — property-tested in ``tests/property/test_calendar_engine.py``).
 
 Message matching — pending sends, posted receives, parked eager arrivals
 and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
@@ -108,14 +107,6 @@ class EngineConfig:
     default_flops_per_core: float = 4.0e9
     #: hard cap on engine iterations per simulated event (safety net)
     iteration_factor: int = 50
-    #: use the provider's delta ``update`` API (when available); ``False``
-    #: re-queries the full active set every step — same results, O(active)
-    #: per-step work (kept for verification and benchmarking)
-    delta_rates: bool = True
-    #: structure-of-arrays calendar bookkeeping (see
-    #: :class:`~repro.network.fluid.TransferCalendar`'s ``vectorized``);
-    #: ``False`` keeps the scalar per-flight path — bit-exact either way
-    vectorized_calendar: bool = True
     #: interference injectors (:mod:`repro.simulator.interference`) whose
     #: events ride the timeline heap; empty = bit-exact clean-fabric run
     injectors: Tuple = ()
@@ -1017,11 +1008,9 @@ class ExecutionEngine:
             reset()
         self._calendar = TransferCalendar(
             self.rate_provider,
-            delta=None if self.config.delta_rates else False,
             missing_rate="zero",
             trace=self._trace,
             metrics=self._metrics,
-            vectorized=self.config.vectorized_calendar,
         )
         if self._metrics is not None:
             metrics = self._metrics

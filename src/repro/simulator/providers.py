@@ -20,14 +20,15 @@ call is kept as a compatibility shim built on ``update`` — it diffs the
 requested set against the tracked one, applies the delta, and returns the
 stored rate of every requested transfer.
 
-By default the model side is *incremental*: deltas dirty only the conflict
-components they touch, and repeated contention situations are served from a
-memoized snapshot cache (:mod:`repro.core.incremental`).  Pass
-``incremental=False`` to force the historical rebuild-everything behaviour —
-the two are bit-exact, which ``tests/property/test_incremental_properties.py``
-asserts over random arrival/departure sequences, and the delta API is
-bit-exact with cold full-set evaluation, which
-``tests/property/test_delta_contract.py`` asserts.
+The model side is *incremental*: deltas dirty only the conflict components
+they touch, and repeated contention situations are served from a memoized
+snapshot cache (:mod:`repro.core.incremental`).  The historical
+rebuild-everything provider survives as a test oracle
+(``tests/oracles/pricing.py``); the two are bit-exact, which
+``tests/property/test_incremental_properties.py`` asserts over random
+arrival/departure sequences, and the delta API is bit-exact with cold
+full-set evaluation, which ``tests/property/test_delta_contract.py``
+asserts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from typing import Dict, Hashable, List, Sequence
 
 from .._numpy import np
-from ..core.graph import Communication, CommunicationGraph
+from ..core.graph import Communication
 from ..core.incremental import EngineStats, IncrementalPenaltyEngine, PenaltyCache
 from ..core.penalty import ContentionModel
 from ..exceptions import SimulationError
@@ -57,14 +58,6 @@ class ModelRateProvider:
     technology:
         Network technology (or its name) supplying the single-stream and
         memory-path bandwidths.
-    incremental:
-        When True (default), re-price only the conflict components dirtied
-        by transfer arrivals/departures and memoize component evaluations
-        by canonical snapshot; ``update`` then reports exactly the dirtied
-        membership.  When False, rebuild the graph and re-evaluate the
-        whole model on every delta (the pre-incremental behaviour, kept for
-        verification and benchmarking; every active transfer is then
-        re-priced — and reported — on each call).
     cache:
         Optional shared :class:`~repro.core.incremental.PenaltyCache`; lets
         several providers (e.g. one per simulated run, or every scenario of
@@ -73,73 +66,47 @@ class ModelRateProvider:
     map_fn:
         Optional ``map``-compatible callable handed to the incremental
         engine; cache-miss component evaluations of one delta are fanned
-        out through it (bit-exact with serial evaluation).
-    vectorized:
-        Passed to the incremental engine: when True (default), cache-miss
-        components of one delta are priced through the model's numpy batch
-        path (:meth:`~repro.core.penalty.ContentionModel.penalties_batch`)
-        instead of a Python loop per component.  Bit-exact with the scalar
-        path.  Ignored in full-recompute mode, which keeps the historical
-        scalar whole-graph evaluation.
+        out through it (bit-exact with serial evaluation).  Without it the
+        cache misses of one delta are priced in one
+        :meth:`~repro.core.penalty.ContentionModel.penalties_batch` call.
     """
 
     def __init__(
         self,
         model: ContentionModel,
         technology: NetworkTechnology | str,
-        incremental: bool = True,
         cache: PenaltyCache | None = None,
         map_fn=None,
-        vectorized: bool = True,
     ) -> None:
         if isinstance(technology, str):
             technology = get_technology(technology)
         self.model = model
         self.technology = technology
-        self.incremental = bool(incremental)
-        self.vectorized = bool(vectorized)
-        self._engine: IncrementalPenaltyEngine | None = (
-            IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn,
-                                     vectorized=self.vectorized)
-            if self.incremental else None
-        )
-        # in full-recompute mode the stats only count communication
-        # evaluations, so both modes report the same work metric
-        self._full_stats = EngineStats()
+        self._engine = IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn)
         # delta-contract state: the tracked active set and its current rates
         self._active: Dict[Hashable, Transfer] = {}
         self._tid_of: Dict[str, Hashable] = {}
         self._rates: Dict[Hashable, float] = {}
-        self._full_penalties: Dict[str, float] = {}
-        #: slot handles of the tracked set (full-recompute slot tier only;
-        #: the incremental engine stores handles itself, keyed by name)
-        self._slot_of: Dict[Hashable, int] = {}
 
     @property
     def stats(self) -> EngineStats:
         """Work counters (model evaluations, cache traffic) of this provider."""
-        if self._engine is not None:
-            return self._engine.stats
-        return self._full_stats
+        return self._engine.stats
 
     def register_metrics(self, registry, name: str = "pricing") -> None:
         """Join a :class:`repro.obs.MetricsRegistry`.
 
         Registers the engine work counters as a live source under ``name``
-        and (in incremental mode) installs the ``pricing.dirty_s`` phase
-        timer around dirty-component evaluation.  Pass ``None`` to
-        uninstall the timer.
+        and installs the ``pricing.dirty_s`` phase timer around
+        dirty-component evaluation.  Pass ``None`` to uninstall the timer.
         """
         if registry is None:
-            if self._engine is not None:
-                self._engine.set_metrics(None)
+            self._engine.set_metrics(None)
             return
         registry.register_source(name, lambda: self.stats.snapshot())
-        if self._engine is not None:
-            self._engine.set_metrics(registry)
-            if self._engine.cache is not None:
-                registry.register_source("penalty_cache",
-                                         self._engine.cache.stats)
+        self._engine.set_metrics(registry)
+        if self._engine.cache is not None:
+            registry.register_source("penalty_cache", self._engine.cache.stats)
 
     @staticmethod
     def _comm_size(transfer: Transfer) -> int:
@@ -155,12 +122,6 @@ class ModelRateProvider:
             size=self._comm_size(transfer),
         )
 
-    def _graph_from_transfers(self, active: Sequence[Transfer]) -> CommunicationGraph:
-        graph = CommunicationGraph(name="in-flight")
-        for transfer in active:
-            graph.add(self._communication(transfer))
-        return graph
-
     def _rate_of(self, transfer: Transfer, penalty: float) -> float:
         penalty = max(1.0, penalty)
         if transfer.is_intra_node:
@@ -170,13 +131,10 @@ class ModelRateProvider:
     # ---------------------------------------------------------------- deltas
     def reset(self) -> None:
         """Forget the tracked active set (memoized situations survive)."""
-        if self._engine is not None:
-            self._engine.reset()
+        self._engine.reset()
         self._active.clear()
         self._tid_of.clear()
         self._rates.clear()
-        self._full_penalties.clear()
-        self._slot_of.clear()
 
     def _apply_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable],
@@ -203,26 +161,22 @@ class ModelRateProvider:
             transfer = self._active.pop(tid)
             del self._tid_of[str(tid)]
             self._rates.pop(tid, None)
-            if self._engine is not None:
-                self._engine.remove(str(tid))
+            self._engine.remove(str(tid))
         for index, transfer in enumerate(added):
             tid = transfer.transfer_id
             self._active[tid] = transfer
             self._tid_of[str(tid)] = tid
-            if self._engine is not None:
-                handle = (None if added_slots is None else
-                          (tid, added_slots[index], transfer.is_intra_node))
-                self._engine.add(self._communication(transfer), handle)
+            handle = (None if added_slots is None else
+                      (tid, added_slots[index], transfer.is_intra_node))
+            self._engine.add(self._communication(transfer), handle)
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> Dict[Hashable, float]:
         """Apply a flow delta; return the rates of the re-priced transfers.
 
-        With the incremental engine the returned mapping covers exactly the
-        membership of the conflict components the delta dirtied (plus
-        intra-node arrivals); in full-recompute mode every active transfer
-        is re-priced and returned.
+        The returned mapping covers exactly the membership of the conflict
+        components the delta dirtied (plus intra-node arrivals).
 
         The whole delta is validated before any state changes, so a rejected
         call leaves the tracked set untouched and the caller (e.g. a
@@ -232,22 +186,9 @@ class ModelRateProvider:
         self._apply_delta(added, removed)
 
         changed: Dict[Hashable, float] = {}
-        if self._engine is not None:
-            for name, penalty in self._engine.refresh().items():
-                tid = self._tid_of[name]
-                changed[tid] = self._rate_of(self._active[tid], penalty)
-        elif self._active:
-            active = list(self._active.values())
-            graph = self._graph_from_transfers(active)
-            self._full_stats.events += 1
-            self._full_stats.component_evaluations += 1
-            self._full_stats.comm_evaluations += len(active)
-            self._full_penalties = dict(self.model.penalties(graph))
-            for transfer in active:
-                penalty = self._full_penalties[str(transfer.transfer_id)]
-                changed[transfer.transfer_id] = self._rate_of(transfer, penalty)
-        else:
-            self._full_penalties = {}
+        for name, penalty in self._engine.refresh().items():
+            tid = self._tid_of[name]
+            changed[tid] = self._rate_of(self._active[tid], penalty)
         self._rates.update(changed)
         return changed
 
@@ -256,7 +197,7 @@ class ModelRateProvider:
     ):
         """:meth:`update` with an array payload: ``(tids, rates)``.
 
-        The batched handoff the vectorized
+        The batched handoff the
         :class:`~repro.network.fluid.TransferCalendar` probes for: the same
         re-priced set in the same order as :meth:`update` would report
         (downstream seq assignment relies on that), as an id list plus a
@@ -265,11 +206,6 @@ class ModelRateProvider:
         dict-of-Python-floats either way, so mixing array and dict calls is
         safe.
         """
-        if self._engine is None:
-            changed = self.update(added, removed)
-            rates = np.fromiter(changed.values(), dtype=np.float64,
-                                count=len(changed))
-            return list(changed.keys()), rates
         self._apply_delta(added, removed)
         names, penalties = self._engine.refresh_arrays()
         tids = [self._tid_of[name] for name in names]
@@ -301,21 +237,6 @@ class ModelRateProvider:
         re-priced membership, same order, bit-identical float64 rates as the
         dict and array tiers.
         """
-        if self._engine is None:
-            # full-recompute mode: update() validates and re-prices the whole
-            # active set; slots are tracked provider-side and gathered once
-            changed = self.update(added, removed)
-            slot_of = self._slot_of
-            for tid in removed:
-                slot_of.pop(tid, None)
-            for transfer, slot in zip(added, added_slots):
-                slot_of[transfer.transfer_id] = slot
-            tids = list(changed.keys())
-            slots = np.fromiter((slot_of[tid] for tid in tids),
-                                dtype=np.intp, count=len(tids))
-            rates = np.fromiter(changed.values(), dtype=np.float64,
-                                count=len(tids))
-            return tids, slots, rates
         self._apply_delta(added, removed, added_slots)
         handles, penalties = self._engine.refresh_handles()
         if not handles:
@@ -370,8 +291,5 @@ class ModelRateProvider:
         if not active:
             return {}
         self._sync(active)
-        if self._engine is not None:
-            penalties = self._engine.penalties()
-        else:
-            penalties = self._full_penalties
+        penalties = self._engine.penalties()
         return {t.transfer_id: penalties[str(t.transfer_id)] for t in active}

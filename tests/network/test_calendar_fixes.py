@@ -3,12 +3,15 @@
 Covers the three historical defects fixed together with the interference
 subsystem: the unbounded lazy-deletion heap (no compaction), the lost
 pending delta when a provider raises mid-flush, and the silent starvation
-of zero-rated flights in delta mode.
+of zero-rated flights in delta mode — plus the dead heap entry a reused
+transfer id brought back to life, on the production calendar and on the
+scalar oracle alike.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracles.scalar_calendar import ScalarTransferCalendar
 
 from repro.core import GigabitEthernetModel
 from repro.exceptions import SimulationError
@@ -62,7 +65,7 @@ class TestHeapCompaction:
     def test_long_churn_run_bounds_the_heap(self):
         """Frequent rate changes must not grow the heap without bound."""
         provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider, delta=False)
+        calendar = TransferCalendar(provider)
         num_flights = 40
         for i in range(num_flights):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
@@ -81,7 +84,7 @@ class TestHeapCompaction:
 
     def test_small_heaps_are_never_compacted(self):
         provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider, delta=False)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
         for round_no in range(20):
             calendar.flush(float(round_no) * 1e-3)
@@ -89,7 +92,7 @@ class TestHeapCompaction:
 
     def test_compaction_preserves_completion_order(self):
         provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider, delta=False)
+        calendar = TransferCalendar(provider)
         sizes = {i: 1000.0 * (i + 1) for i in range(50)}
         for i, size in sizes.items():
             calendar.activate(Transfer(i, 0, 1, size), now=0.0)
@@ -120,7 +123,7 @@ class RaisingProvider:
 class TestFlushAtomicity:
     def test_raising_delta_provider_keeps_the_pending_delta(self):
         provider = RaisingProvider(failures=1)
-        calendar = TransferCalendar(provider, delta=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         with pytest.raises(SimulationError):
             calendar.flush(0.0)
@@ -140,7 +143,7 @@ class TestFlushAtomicity:
                     raise SimulationError("boom")
                 return {t.transfer_id: 100.0 for t in active}
 
-        calendar = TransferCalendar(FullRaising(), delta=False)
+        calendar = TransferCalendar(FullRaising())
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         with pytest.raises(SimulationError):
             calendar.flush(0.0)
@@ -169,7 +172,7 @@ class TestFlushAtomicity:
 
     def test_departures_survive_a_raising_provider(self):
         provider = DeltaEcho()
-        calendar = TransferCalendar(provider, delta=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         assert calendar.pop_due(10.0)  # "a" completes, departure queued
@@ -212,7 +215,7 @@ class UnderReportingProvider:
 class TestZeroRateStall:
     def test_stalled_flight_is_rerated_on_later_flushes(self):
         provider = UnderReportingProvider(silent_tid="slow")
-        calendar = TransferCalendar(provider, delta=True, missing_rate="zero")
+        calendar = TransferCalendar(provider, missing_rate="zero")
         calendar.activate(Transfer("slow", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         # the flush retried the zero-rated flight once already (remove+add
@@ -257,7 +260,7 @@ class TestZeroRateStall:
 class TestCancel:
     def test_cancel_before_flush_never_reaches_the_provider(self):
         provider = DeltaEcho()
-        calendar = TransferCalendar(provider, delta=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.cancel("a", 0.0)
         calendar.flush(0.0)
@@ -267,7 +270,7 @@ class TestCancel:
 
     def test_cancel_after_flush_is_a_departure(self):
         provider = DeltaEcho()
-        calendar = TransferCalendar(provider, delta=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         calendar.cancel("a", 1.0)
@@ -278,6 +281,32 @@ class TestCancel:
         assert calendar.pop_due(11.0)[0].transfer_id == "b"
 
     def test_cancel_unknown_transfer_fails(self):
-        calendar = TransferCalendar(DeltaEcho(), delta=True)
+        calendar = TransferCalendar(DeltaEcho())
         with pytest.raises(SimulationError):
             calendar.cancel("ghost", 0.0)
+
+
+class TestReusedTransferId:
+    @pytest.mark.parametrize("calendar_cls", [TransferCalendar, ScalarTransferCalendar],
+                             ids=["array", "scalar"])
+    def test_reused_id_does_not_revive_the_dead_entry(self, calendar_cls):
+        """A cancelled transfer's heap entry stays dead when its id returns.
+
+        Epochs used to restart at 0 on every activation, so the first
+        tenant's entry (epoch 1, due at t=1) matched the second tenant's
+        first re-timing: ``next_time()`` reported 1.0 and ``pop_due(1.0)``
+        re-timed the new transfer for nothing.
+        """
+        calendar = calendar_cls(DeltaEcho(rate=100.0))
+        calendar.activate(Transfer("x", 0, 1, 100.0), now=0.0)
+        calendar.flush(0.0)
+        calendar.cancel("x", 0.5)
+        calendar.flush(0.5)
+        calendar.activate(Transfer("x", 0, 1, 1000.0), now=0.5)
+        calendar.flush(0.5)
+        assert calendar.next_time() == pytest.approx(10.5)
+        assert calendar.stats.stale_entries == 1
+        assert calendar.pop_due(1.0) == []
+        assert calendar.stats.retimed == 2
+        done = calendar.pop_due(10.5)
+        assert [(t.transfer_id, t.size) for t in done] == [("x", 1000.0)]

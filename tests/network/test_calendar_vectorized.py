@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized calendar bookkeeping (PR 8 satellites).
+"""Unit tests for the structure-of-arrays calendar bookkeeping.
 
 Regression coverage for compaction on cancel-heavy workloads (which create
 stale heap entries without ever re-timing), the degenerate batch shapes of
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.scalar_calendar import ScalarTransferCalendar
 
 from repro._numpy import np
 from repro.exceptions import ReproError
@@ -25,8 +26,9 @@ from repro.network.fluid import SlotMap, Transfer, TransferCalendar
 from repro.obs import MetricsRegistry
 from repro.obs.registry import PhaseTimer
 
-BOTH_PATHS = pytest.mark.parametrize("vectorized", [True, False],
-                                     ids=["array", "scalar"])
+BOTH_PATHS = pytest.mark.parametrize(
+    "calendar_cls", [TransferCalendar, ScalarTransferCalendar],
+    ids=["array", "scalar"])
 
 #: heap-strategy counters that legitimately differ scalar-vs-array
 STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
@@ -83,7 +85,7 @@ class TestCancelCompaction:
     """Satellite (a): ``cancel()`` must also check heap compaction."""
 
     @BOTH_PATHS
-    def test_cancel_heavy_workload_bounds_the_heap(self, vectorized):
+    def test_cancel_heavy_workload_bounds_the_heap(self, calendar_cls):
         """Mass cancellation compacts the heap even though nothing re-times.
 
         Before the fix, compaction was only reachable through ``_retime``;
@@ -92,8 +94,7 @@ class TestCancelCompaction:
         so the heap grew unboundedly stale.
         """
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True,
-                                    vectorized=vectorized)
+        calendar = calendar_cls(provider)
         num_flights = 200
         for i in range(num_flights):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
@@ -113,9 +114,8 @@ class TestCancelCompaction:
         assert [t.transfer_id for t in done] == list(range(150, num_flights))
 
     @BOTH_PATHS
-    def test_small_cancel_runs_never_compact(self, vectorized):
-        calendar = TransferCalendar(ScriptedDelta(), delta=True,
-                                    vectorized=vectorized)
+    def test_small_cancel_runs_never_compact(self, calendar_cls):
+        calendar = calendar_cls(ScriptedDelta())
         for i in range(8):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
         calendar.flush(0.0)
@@ -134,13 +134,12 @@ class TestDegenerateBatches:
         stalled) and the stall-retry cycle re-rating the same batch.
         """
         outcomes = []
-        for vectorized in (True, False):
+        for calendar_cls in (TransferCalendar, ScalarTransferCalendar):
             # call 1 (the flush) zero-rates everything; call 2 (the
             # stall retry inside the same flush) still refuses; call 3
             # (next flush's retry) re-rates at the default
             provider = ScriptedDelta(script={1: 0.0, 2: 0.0})
-            calendar = TransferCalendar(provider, delta=True,
-                                        vectorized=vectorized)
+            calendar = calendar_cls(provider)
             for i in range(6):
                 calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
             calendar.flush(0.0)
@@ -158,10 +157,9 @@ class TestDegenerateBatches:
         """rate=inf predicts completion *now* without fp warnings."""
         with np.errstate(invalid="raise", over="raise"):
             outcomes = []
-            for vectorized in (True, False):
+            for calendar_cls in (TransferCalendar, ScalarTransferCalendar):
                 provider = ScriptedDelta(default=math.inf)
-                calendar = TransferCalendar(provider, delta=True,
-                                            vectorized=vectorized)
+                calendar = calendar_cls(provider)
                 for i in range(8):
                     calendar.activate(Transfer(i, 0, 1, 1e12), now=0.0)
                 calendar.flush(0.0)
@@ -185,9 +183,8 @@ class TestDegenerateBatches:
                 pass
 
         outcomes = []
-        for vectorized in (True, False):
-            calendar = TransferCalendar(MixedDelta(), delta=True,
-                                        vectorized=vectorized)
+        for calendar_cls in (TransferCalendar, ScalarTransferCalendar):
+            calendar = calendar_cls(MixedDelta())
             for i in rates:
                 calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
             calendar.flush(0.0)
@@ -205,7 +202,7 @@ class TestDegenerateBatches:
         """A one-flight changed set takes the loop path — no bulk merges."""
         assert 1 < TransferCalendar.BATCH_MIN
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer("solo", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         assert calendar.stats.bulk_merges == 0
@@ -217,7 +214,7 @@ class TestDegenerateBatches:
     def test_large_batch_bulk_merges(self):
         """A big changed set into a small heap takes the heapify merge."""
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         n = max(TransferCalendar.BULK_HEAPIFY_MIN,
                 TransferCalendar.BATCH_MIN) + 4
         for i in range(n):
@@ -229,11 +226,10 @@ class TestDegenerateBatches:
         assert [t.transfer_id for t in done] == list(range(n))
 
     @BOTH_PATHS
-    def test_cancel_then_reprice(self, vectorized):
+    def test_cancel_then_reprice(self, calendar_cls):
         """Repricing after a cancel re-times exactly the survivors."""
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True,
-                                    vectorized=vectorized)
+        calendar = calendar_cls(provider)
         for i in range(6):
             calendar.activate(Transfer(i, 0, 1, 6000.0), now=0.0)
         calendar.flush(0.0)
@@ -253,7 +249,7 @@ class TestDegenerateBatches:
         """Cancel + re-activate of the same id reuses the freed slot and
         resets its epoch; the old tenant's heap entries die as stale."""
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         for i in range(5):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
@@ -266,7 +262,7 @@ class TestDegenerateBatches:
         assert int(calendar._arr.epoch[old_slot]) == 0
         calendar.flush(1.0)
         # the replacement completes on its own schedule; the stale entry of
-        # the first tenant (epoch 1 at t=10) never surfaces as a completion
+        # the first tenant (due at t=10) never surfaces as a completion
         assert [t.transfer_id for t in calendar.pop_due(10.0)] == [0, 1, 2, 4]
         done = calendar.pop_due(1e9)
         assert [t.transfer_id for t in done] == [3]
@@ -274,10 +270,9 @@ class TestDegenerateBatches:
         assert calendar.stats.completions == 5
 
     @BOTH_PATHS
-    def test_tid_reuse_agrees_across_paths(self, vectorized):
+    def test_tid_reuse_agrees_across_paths(self, calendar_cls):
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider, delta=True,
-                                    vectorized=vectorized)
+        calendar = calendar_cls(provider)
         for i in range(5):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
@@ -337,10 +332,9 @@ class TestFlushTimerSampling:
         assert "t.sample_every" not in PhaseTimer("t").snapshot()
 
     @BOTH_PATHS
-    def test_sampled_calendar_flush_timer(self, vectorized):
+    def test_sampled_calendar_flush_timer(self, calendar_cls):
         registry = MetricsRegistry(timer_sample_every=4)
-        calendar = TransferCalendar(ScriptedDelta(), delta=True,
-                                    metrics=registry, vectorized=vectorized)
+        calendar = calendar_cls(ScriptedDelta(), metrics=registry)
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
         for step in range(12):
             calendar.flush(float(step))
@@ -351,8 +345,7 @@ class TestFlushTimerSampling:
 
     def test_unsampled_timer_observes_every_flush(self):
         registry = MetricsRegistry()
-        calendar = TransferCalendar(ScriptedDelta(), delta=True,
-                                    metrics=registry)
+        calendar = TransferCalendar(ScriptedDelta(), metrics=registry)
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
         for step in range(5):
             calendar.flush(float(step))
@@ -427,7 +420,7 @@ class SlotTierDelta(TieredDelta):
         return list(self.tracked), slots, np.asarray(rates, dtype=np.float64)
 
 
-def run_churn(provider, vectorized, num_flights=24, rounds=12):
+def run_churn(provider, calendar_cls=TransferCalendar, num_flights=24, rounds=12):
     """Churn loop with mid-run completions, cancels and slot reuse.
 
     Even-id originals are huge (they outlive every round and serve as the
@@ -435,7 +428,7 @@ def run_churn(provider, vectorized, num_flights=24, rounds=12):
     arrivals are small, so they complete mid-run — freeing slots that
     later arrivals reuse while the provider's mirror table keeps up.
     """
-    calendar = TransferCalendar(provider, delta=True, vectorized=vectorized)
+    calendar = calendar_cls(provider)
     for i in range(num_flights):
         size = 1e7 if i % 2 == 0 else 3000.0 * (1 + i % 5)
         calendar.activate(Transfer(i, 0, 1, size), now=0.0)
@@ -462,10 +455,10 @@ class TestSlotHandleHandoff:
         arrivals reuse), cancels others and re-prices a rotating group —
         the slot table the provider mirrors must track all of it.
         """
-        scalar = run_churn(TieredDelta(), vectorized=False)
-        dict_array = run_churn(TieredDelta(), vectorized=True)
-        arrays = run_churn(ArraysTierDelta(), vectorized=True)
-        slots = run_churn(SlotTierDelta(), vectorized=True)
+        scalar = run_churn(TieredDelta(), ScalarTransferCalendar)
+        dict_array = run_churn(TieredDelta())
+        arrays = run_churn(ArraysTierDelta())
+        slots = run_churn(SlotTierDelta())
         assert slots == scalar
         assert arrays == scalar
         assert dict_array == scalar
@@ -473,7 +466,7 @@ class TestSlotHandleHandoff:
     def test_small_batches_take_the_slot_loop(self):
         """Below ``BATCH_MIN`` the slot handoff runs the per-flight loop."""
         provider = SlotTierDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         calendar.activate(Transfer(0, 0, 1, 1000.0), now=0.0)
         calendar.activate(Transfer(1, 0, 1, 2000.0), now=0.0)
         calendar.flush(0.0)
@@ -486,7 +479,7 @@ class TestSlotHandleHandoff:
     def test_negative_rate_raises_before_any_application(self):
         provider = SlotTierDelta()
         provider._rate = lambda tid: -1.0
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         for i in range(6):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
         with pytest.raises(ReproError, match="negative rate"):
@@ -497,7 +490,7 @@ class TestSlotHandleHandoff:
         per-transfer python hooks); a slots-only provider falls back to the
         dict contract rather than crashing on the missing array tier."""
         provider = SlotTierDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         calendar.set_rate_scale(lambda transfer: 0.5)
         for i in range(6):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
@@ -516,7 +509,7 @@ class TestSlotHandleHandoff:
         would KeyError on the next slot flush.
         """
         provider = SlotTierDelta()
-        calendar = TransferCalendar(provider, delta=True, vectorized=True)
+        calendar = TransferCalendar(provider)
         for i in range(6):
             calendar.activate(Transfer(i, 0, 1, 1e7), now=0.0)
         calendar.flush(0.0)

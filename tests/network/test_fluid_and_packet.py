@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.rates_only import RatesOnly
 
 from repro.exceptions import SimulationError
 from repro.network import (
@@ -178,11 +179,6 @@ class TestTransferCalendar:
         calendar = TransferCalendar(ConstantRateProvider(100.0))
         assert calendar.delta is False
 
-    def test_delta_true_requires_an_update_method(self):
-        from repro.network.fluid import TransferCalendar
-        with pytest.raises(SimulationError):
-            TransferCalendar(ConstantRateProvider(100.0), delta=True)
-
     def test_stale_entries_are_discarded_not_fired(self):
         """A rate change supersedes the old completion entry via the epoch."""
         from repro.network.fluid import TransferCalendar
@@ -242,7 +238,7 @@ class TestTransferCalendar:
         results = {}
         for delta in (True, False):
             provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-            sim = FluidTransferSimulator(provider, delta=delta)
+            sim = FluidTransferSimulator(provider if delta else RatesOnly(provider))
             results[delta] = sim.run(transfers)
         assert results[True] == results[False]
 

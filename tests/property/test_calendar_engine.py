@@ -2,13 +2,14 @@
 
 The execution engine advances in-flight transfers through a lazy calendar
 of predicted completions, re-timing only the transfers whose rate value
-changed — fed either by the provider's delta ``update`` API
-(``EngineConfig(delta_rates=True)``, the default) or by re-querying the
-full active set every step (``delta_rates=False``, the historical
-behaviour).  The two must produce **identical** ``EventRecord`` streams and
-finish times for any application, placement and technology, under every
-provider (incremental model, full-recompute model, calibrated emulator) —
-the delta path is an optimisation, never an approximation.
+changed — fed either by the provider's delta ``update`` API or, for a
+provider that only has ``rates()`` (a shipped provider behind the
+:class:`~oracles.rates_only.RatesOnly` wrapper), by re-querying the full
+active set every step.  The two must produce **identical** ``EventRecord``
+streams and finish times for any application, placement and technology,
+under every provider (incremental model, the full-recompute model oracle,
+calibrated emulator) — the delta path is an optimisation, never an
+approximation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.pricing import FullRecomputeProvider
+from oracles.rates_only import RatesOnly
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel, MyrinetModel
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.topology import CrossbarTopology
-from repro.simulator import ANY_SOURCE, Application, EngineConfig, Simulator
+from repro.simulator import ANY_SOURCE, Application, Simulator
 from repro.simulator.providers import ModelRateProvider
 from repro.units import KiB, MB
 
@@ -76,7 +79,7 @@ def build_application(spec) -> Application:
 
 
 def run_engine(app, cluster, provider, policy, seed, delta: bool):
-    sim = Simulator(cluster, provider, config=EngineConfig(delta_rates=delta))
+    sim = Simulator(cluster, provider if delta else RatesOnly(provider))
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task
@@ -104,10 +107,8 @@ class TestCalendarEngineBitExact:
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for incremental in (True, False):
-                provider = ModelRateProvider(
-                    MyrinetModel(), "myrinet", incremental=incremental
-                )
+            for factory in (ModelRateProvider, FullRecomputeProvider):
+                provider = factory(MyrinetModel(), "myrinet")
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.pricing import FullRecomputeProvider
 
 from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel
 from repro.network.allocator import EmulatorRateProvider
@@ -80,12 +81,12 @@ class TestModelProviderDeltaContract:
     @common_settings
     @given(steps=sequence_strategy)
     def test_full_recompute_mode_honours_the_contract_too(self, steps):
-        provider = ModelRateProvider(GigabitEthernetModel(), "ethernet",
-                                     incremental=False)
+        """The full-recompute oracle the parity suites compare against
+        must itself honour the delta contract."""
+        provider = FullRecomputeProvider(GigabitEthernetModel(), "ethernet")
         check_provider_sequence(
             provider,
-            lambda: ModelRateProvider(GigabitEthernetModel(), "ethernet",
-                                      incremental=False),
+            lambda: FullRecomputeProvider(GigabitEthernetModel(), "ethernet"),
             steps,
         )
 

@@ -1,9 +1,10 @@
 """Property-based tests: the incremental contention engine is bit-exact.
 
-The incremental provider must produce *exactly* the rates of a
-rebuild-everything provider after any sequence of flow arrivals and
-departures — component-scoped evaluation and snapshot memoization are pure
-optimisations, never approximations.
+The incremental provider must produce *exactly* the rates of the
+rebuild-everything provider (the test oracle
+:class:`~oracles.pricing.FullRecomputeProvider`) after any sequence of flow
+arrivals and departures — component-scoped evaluation and snapshot
+memoization are pure optimisations, never approximations.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.pricing import FullRecomputeProvider
 
 from repro.core import (
     FairShareModel,
@@ -71,16 +73,16 @@ class TestIncrementalEqualsFullRecompute:
     @common_settings
     @given(steps=sequence_strategy)
     def test_rates_bit_exact_across_arrival_departure_sequences(self, factory, steps):
-        incremental = ModelRateProvider(factory(), "ethernet", incremental=True)
-        full = ModelRateProvider(factory(), "ethernet", incremental=False)
+        incremental = ModelRateProvider(factory(), "ethernet")
+        full = FullRecomputeProvider(factory(), "ethernet")
         for active in apply_steps(steps):
             assert incremental.rates(active) == full.rates(active)
 
     @common_settings
     @given(steps=sequence_strategy)
     def test_instantaneous_penalties_bit_exact(self, steps):
-        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
-        full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
+        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+        full = FullRecomputeProvider(GigabitEthernetModel(), "ethernet")
         for active in apply_steps(steps):
             assert incremental.instantaneous_penalties(active) == full.instantaneous_penalties(active)
 

@@ -18,16 +18,20 @@ by hiding the faster entry points behind wrappers, since the calendar
 discovers tiers with ``getattr``.
 
 Degenerate cases ride along: slot reuse after cancels, transfer-id reuse
-(the slot store resets a reused slot's epoch to zero), and zero-rate
+(a reused slot starts at epoch 0, which no heap entry carries), and zero-rate
 stalls whose retry cycle must re-register slot handles rather than
 stranding them on the dict path.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
+from oracles.rates_only import RatesOnly
+from oracles.scalar_calendar import ScalarTransferCalendar, scalar_calendar
 
 from repro._numpy import np
 from repro.cluster import custom_cluster, make_placement
@@ -152,22 +156,24 @@ def build_application(spec) -> Application:
     return app
 
 
-def run_engine(spec, app, cluster, tier, vectorized, delta=True, trace=None):
+def run_engine(spec, app, cluster, tier, scalar=False, delta=True, trace=None):
+    """One engine run; ``scalar=True`` runs on the scalar oracle calendar
+    and ``delta=False`` hides the provider's delta API."""
     injectors = ()
     if spec["loaded"]:
         injectors = (BackgroundTrafficInjector(
             rate=200.0, size=1 * MB, seed=spec["seed"], max_flows=6),)
-    provider = force_tier(tier, make_provider(spec["provider"], cluster))
+    provider = make_provider(spec["provider"], cluster)
     sim = Simulator(
         cluster,
-        provider,
-        config=EngineConfig(delta_rates=delta, vectorized_calendar=vectorized,
-                            injectors=injectors),
+        force_tier(tier, provider) if delta else RatesOnly(provider),
+        config=EngineConfig(injectors=injectors),
         trace=trace,
     )
     placement = make_placement(spec["policy"], cluster, app.num_tasks,
                                seed=spec["seed"])
-    report = sim.run(app, placement=placement)
+    with scalar_calendar() if scalar else nullcontext():
+        report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task, sim.last_engine_stats
 
 
@@ -186,9 +192,9 @@ class TestEngineTierEquivalence:
         cluster = custom_cluster(num_nodes=3, cores_per_node=2,
                                  technology="ethernet")
         app = build_application(spec)
-        scalar = run_engine(spec, app, cluster, "slots", vectorized=False)
+        scalar = run_engine(spec, app, cluster, "slots", scalar=True)
         for tier in TIERS:
-            outcome = run_engine(spec, app, cluster, tier, vectorized=True)
+            outcome = run_engine(spec, app, cluster, tier)
             assert comparable(outcome) == comparable(scalar), tier
             if tier == "slots":
                 # the real providers must actually *ride* the top tier:
@@ -199,8 +205,7 @@ class TestEngineTierEquivalence:
                     assert stats["handoff_tier_slots"] > 0
         # full re-query agrees on the simulated results (stats legitimately
         # differ: no delta bookkeeping at all)
-        full = run_engine(spec, app, cluster, "slots", vectorized=True,
-                          delta=False)
+        full = run_engine(spec, app, cluster, "slots", delta=False)
         assert full[:2] == scalar[:2]
 
     @common_settings
@@ -213,11 +218,10 @@ class TestEngineTierEquivalence:
                                  technology="ethernet")
         app = build_application(spec)
         scalar_sink = MemoryTraceSink()
-        scalar = run_engine(spec, app, cluster, "dict", vectorized=False,
+        scalar = run_engine(spec, app, cluster, "dict", scalar=True,
                             trace=scalar_sink)
         array_sink = MemoryTraceSink()
-        arrays = run_engine(spec, app, cluster, "slots", vectorized=True,
-                            trace=array_sink)
+        arrays = run_engine(spec, app, cluster, "slots", trace=array_sink)
         assert arrays[:2] == scalar[:2]
         stats = arrays[2].as_dict()
         assert stats["handoff_tier_slots"] == 0
@@ -232,20 +236,19 @@ def churn_cluster():
                           technology="ethernet")
 
 
-def tier_calendar(kind, tier, vectorized, wrap=None):
+def tier_calendar(kind, tier, calendar_cls=TransferCalendar, wrap=None):
     provider = make_provider(kind, churn_cluster())
     if wrap is not None:
         provider = wrap(provider)
-    return TransferCalendar(force_tier(tier, provider), delta=True,
-                            vectorized=vectorized)
+    return calendar_cls(force_tier(tier, provider))
 
 
 def tier_matrix(kind, run, wrap=None):
-    """Run ``run(calendar)`` on all three vectorized tiers + the scalar
-    calendar and assert the outcomes identical."""
-    scalar = run(tier_calendar(kind, "dict", vectorized=False, wrap=wrap))
+    """Run ``run(calendar)`` on all three tiers of the production calendar
+    + the scalar oracle calendar and assert the outcomes identical."""
+    scalar = run(tier_calendar(kind, "dict", ScalarTransferCalendar, wrap=wrap))
     for tier in TIERS:
-        outcome = run(tier_calendar(kind, tier, vectorized=True, wrap=wrap))
+        outcome = run(tier_calendar(kind, tier, wrap=wrap))
         assert outcome == scalar, (kind, tier)
     return scalar
 
@@ -387,7 +390,7 @@ class TestRateScaleTierRecovery:
         skips the slot tier (here to the array tier — the real providers
         speak both), and the reprice that clears the scale re-seeds the
         slot handles so the counter climbs again."""
-        calendar = tier_calendar(kind, "slots", vectorized=True)
+        calendar = tier_calendar(kind, "slots")
         for i in range(6):
             calendar.activate(Transfer(i, i % 3, 3, 1e10), now=0.0)
         calendar.flush(0.0)

@@ -1,19 +1,25 @@
-"""Application-level bit-exactness of the vectorized calendar bookkeeping.
+"""Application-level bit-exactness of the structure-of-arrays calendar.
 
-The structure-of-arrays :class:`~repro.network.fluid.TransferCalendar`
-(``vectorized=True``) batches rate application, integration and re-timing
-through numpy and bulk-merges heap entries; this suite closes the
-acceptance loop: simulating a random MPI application with the array
-calendar must produce **identical** per-rank event streams, finish times,
-calendar stats and — record for record — identical traces as the scalar
-calendar, across vectorized×delta for the contention-model and emulator
-provider families, on a clean fabric and under background-traffic load.
+The production :class:`~repro.network.fluid.TransferCalendar` batches rate
+application, integration and re-timing through numpy and bulk-merges heap
+entries; this suite closes the acceptance loop: simulating a random MPI
+application with it must produce **identical** per-rank event streams,
+finish times, calendar stats and — record for record — identical traces as
+the scalar oracle calendar (:mod:`oracles.scalar_calendar`), on the delta
+and the full-query flush path (a provider behind
+:class:`~oracles.rates_only.RatesOnly`), for the contention-model and
+emulator provider families, on a clean fabric and under background-traffic
+load.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
+from oracles.rates_only import RatesOnly
+from oracles.scalar_calendar import scalar_calendar
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel
@@ -87,28 +93,32 @@ def make_provider(kind, cluster):
     return EmulatorRateProvider(cluster.technology, topology)
 
 
-def run_engine(spec, app, cluster, delta, vectorized, trace=None):
+def run_engine(spec, app, cluster, delta, scalar, trace=None):
+    """One engine run; ``delta=False`` hides the provider's delta API and
+    ``scalar=True`` runs on the scalar oracle calendar."""
     injectors = ()
     if spec["loaded"]:
         injectors = (BackgroundTrafficInjector(
             rate=200.0, size=1 * MB, seed=spec["seed"], max_flows=6),)
+    provider = make_provider(spec["provider"], cluster)
     sim = Simulator(
         cluster,
-        make_provider(spec["provider"], cluster),
-        config=EngineConfig(delta_rates=delta, vectorized_calendar=vectorized,
-                            injectors=injectors),
+        provider if delta else RatesOnly(provider),
+        config=EngineConfig(injectors=injectors),
         trace=trace,
     )
     placement = make_placement(spec["policy"], cluster, app.num_tasks,
                                seed=spec["seed"])
-    report = sim.run(app, placement=placement)
+    with scalar_calendar() if scalar else nullcontext():
+        report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task, sim.last_engine_stats
 
 
-#: strategy counters: the scalar path never bulk-merges, and only the
-#: vectorized untraced path engages the array/slot handoff tiers, so these
-#: legitimately differ between the paths — every *work* counter (flushes,
-#: retimed, completions, compactions, stale entries, ...) must not
+#: strategy counters: the scalar oracle never bulk-merges and speaks only
+#: the dict tier, while the production calendar engages the array/slot
+#: handoff tiers when untraced, so these legitimately differ between the
+#: calendars — every *work* counter (flushes, retimed, completions,
+#: compactions, stale entries, ...) must not
 STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
                      "handoff_tier_arrays", "handoff_tier_dict")
 
@@ -126,15 +136,15 @@ class TestVectorizedCalendarBitExact:
     @given(spec=workload_strategy)
     def test_results_and_stats_identical(self, spec):
         """Array and scalar calendars agree on records, finish times and
-        stats, for both engine loops (delta-fed and full re-query)."""
+        stats, for both flush paths (delta-fed and full re-query)."""
         cluster = custom_cluster(num_nodes=3, cores_per_node=2,
                                  technology="ethernet")
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for vectorized in (True, False):
+            for scalar in (False, True):
                 outcomes.append(
-                    run_engine(spec, app, cluster, delta, vectorized)
+                    run_engine(spec, app, cluster, delta, scalar)
                 )
         # scalar vs array within each loop mode (stats included: the array
         # bookkeeping does the same number of flushes/retimes/completions);
@@ -152,12 +162,12 @@ class TestVectorizedCalendarBitExact:
                                  technology="ethernet")
         app = build_application(spec)
         scalar_sink = MemoryTraceSink()
-        scalar = run_engine(spec, app, cluster, True, False, trace=scalar_sink)
+        scalar = run_engine(spec, app, cluster, True, True, trace=scalar_sink)
         array_sink = MemoryTraceSink()
-        arrays = run_engine(spec, app, cluster, True, True, trace=array_sink)
+        arrays = run_engine(spec, app, cluster, True, False, trace=array_sink)
         assert arrays[:2] == scalar[:2]
         assert_traces_equal(array_sink.log(), scalar_sink.log(),
-                            label_a="vectorized", label_b="scalar")
+                            label_a="array", label_b="scalar")
 
     @common_settings
     @given(
@@ -175,11 +185,10 @@ class TestVectorizedCalendarBitExact:
         ]
         cluster = custom_cluster(num_nodes=4, cores_per_node=1,
                                  technology="ethernet")
-        scalar_sim = FluidTransferSimulator(make_provider(provider, cluster),
-                                            vectorized=False)
-        scalar = scalar_sim.run(transfers)
-        array_sim = FluidTransferSimulator(make_provider(provider, cluster),
-                                           vectorized=True)
+        scalar_sim = FluidTransferSimulator(make_provider(provider, cluster))
+        with scalar_calendar():
+            scalar = scalar_sim.run(transfers)
+        array_sim = FluidTransferSimulator(make_provider(provider, cluster))
         arrays = array_sim.run(transfers)
         assert arrays == scalar
         scalar_stats = scalar_sim.last_calendar_stats.as_dict()

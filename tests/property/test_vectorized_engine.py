@@ -2,10 +2,12 @@
 
 The unit-level suites pin ``penalties_batch`` and the array water-filling;
 this one closes the acceptance loop end to end: simulating a random MPI
-application with the vectorized providers must produce **identical**
-per-rank event streams and finish times as the scalar providers — for the
-contention-model side and the calibrated emulator side, under both engine
-loops (delta-fed calendar and full re-query), on a clean crossbar and on an
+application with the production providers must produce **identical**
+per-rank event streams and finish times as the scalar oracle providers
+(:mod:`oracles.pricing`, :mod:`oracles.allocator`) — for the
+contention-model side and the calibrated emulator side, on both flush paths
+(delta-fed calendar and full re-query through
+:class:`~oracles.rates_only.RatesOnly`), on a clean crossbar and on an
 oversubscribed fat tree whose fabric links bind.
 """
 
@@ -13,12 +15,15 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
+from oracles.allocator import ScalarEmulatorProvider
+from oracles.pricing import ScalarPricingProvider
+from oracles.rates_only import RatesOnly
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel, MyrinetModel
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.topology import CrossbarTopology, FatTreeTopology
-from repro.simulator import ANY_SOURCE, Application, EngineConfig, Simulator
+from repro.simulator import ANY_SOURCE, Application, Simulator
 from repro.simulator.providers import ModelRateProvider
 from repro.units import KiB, MB
 
@@ -69,7 +74,7 @@ def build_application(spec) -> Application:
 
 
 def run_engine(app, cluster, provider, policy, seed, delta: bool):
-    sim = Simulator(cluster, provider, config=EngineConfig(delta_rates=delta))
+    sim = Simulator(cluster, provider if delta else RatesOnly(provider))
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task
@@ -83,10 +88,8 @@ class TestVectorizedEngineBitExact:
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for vectorized in (True, False):
-                provider = ModelRateProvider(
-                    GigabitEthernetModel(), "ethernet", vectorized=vectorized
-                )
+            for factory in (ModelRateProvider, ScalarPricingProvider):
+                provider = factory(GigabitEthernetModel(), "ethernet")
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))
@@ -98,10 +101,8 @@ class TestVectorizedEngineBitExact:
         cluster = custom_cluster(num_nodes=4, cores_per_node=2, technology="myrinet")
         app = build_application(spec)
         outcomes = []
-        for vectorized in (True, False):
-            provider = ModelRateProvider(
-                MyrinetModel(), "myrinet", vectorized=vectorized
-            )
+        for factory in (ModelRateProvider, ScalarPricingProvider):
+            provider = factory(MyrinetModel(), "myrinet")
             outcomes.append(run_engine(
                 app, cluster, provider, spec["policy"], spec["seed"], True
             ))
@@ -114,12 +115,10 @@ class TestVectorizedEngineBitExact:
         app = build_application(spec)
         outcomes = []
         for delta in (True, False):
-            for vectorized in (True, False):
+            for factory in (EmulatorRateProvider, ScalarEmulatorProvider):
                 topology = CrossbarTopology(num_hosts=cluster.num_nodes,
                                             technology=cluster.technology)
-                provider = EmulatorRateProvider(
-                    cluster.technology, topology, vectorized=vectorized
-                )
+                provider = factory(cluster.technology, topology)
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))
@@ -133,14 +132,12 @@ class TestVectorizedEngineBitExact:
         cluster = custom_cluster(num_nodes=6, cores_per_node=1, technology="myrinet")
         app = build_application(spec)
         outcomes = []
-        for vectorized in (True, False):
+        for factory in (EmulatorRateProvider, ScalarEmulatorProvider):
             topology = FatTreeTopology(
                 num_hosts=cluster.num_nodes, technology=cluster.technology,
                 hosts_per_edge=3, uplinks_per_edge=1,
             )
-            provider = EmulatorRateProvider(
-                cluster.technology, topology, vectorized=vectorized
-            )
+            provider = factory(cluster.technology, topology)
             outcomes.append(run_engine(
                 app, cluster, provider, spec["policy"], spec["seed"], True
             ))

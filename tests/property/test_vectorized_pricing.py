@@ -2,13 +2,14 @@
 
 ``ContentionModel.penalties_batch`` prices several component selections in
 one numpy dispatch; the incremental engine routes every cache-miss set of a
-calendar flush through it when ``vectorized=True``.  The contract is strict
+calendar flush through it.  The contract is strict
 bit-exactness: for any communication graph, pricing the conflict components
 through the batch path must return exactly (``==`` on floats, not approx)
 what the scalar ``component_penalties`` loop and the whole-graph
 ``penalties`` call produce, for every shipped model and baseline.  The
-engine-level test closes the loop: a vectorized ``ModelRateProvider`` and a
-scalar one must emit identical rate streams over arbitrary delta sequences.
+engine-level test closes the loop: the production ``ModelRateProvider`` and
+the per-component scalar oracle (:mod:`oracles.pricing`) must emit
+identical rate streams over arbitrary delta sequences.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.pricing import ScalarPricingProvider
 
 from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel
 from repro.core.baselines import (
@@ -103,7 +105,7 @@ class TestBatchPricingBitExact:
             assert result == model.component_penalties(graph, names)
 
 
-# --- engine level: vectorized and scalar providers over delta sequences ----
+# --- engine level: batched and scalar providers over delta sequences -------
 step_strategy = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("del"), st.integers(0, 30), st.integers(0, 0)),
@@ -136,8 +138,8 @@ class TestVectorizedProviderBitExact:
     @common_settings
     @given(steps=sequence_strategy)
     def test_vectorized_and_scalar_update_streams_identical(self, factory, steps):
-        vec = ModelRateProvider(factory(), "ethernet", vectorized=True)
-        ref = ModelRateProvider(factory(), "ethernet", vectorized=False)
+        vec = ModelRateProvider(factory(), "ethernet")
+        ref = ScalarPricingProvider(factory(), "ethernet")
         for added, removed, _live in deltas(steps):
             changed_vec = vec.update(added, removed)
             changed_ref = ref.update(added, removed)

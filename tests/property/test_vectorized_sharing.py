@@ -7,9 +7,10 @@ Their contract is strict bit-exactness on arbitrary inputs (see the module
 docstring of :mod:`repro.network.sharing` for why the float operation order
 matches), which these tests assert over random flow/capacity instances and,
 one level up, over random delta sequences through the calibrated
-:class:`~repro.network.allocator.EmulatorRateProvider` — on a clean crossbar
-and on an oversubscribed fat tree whose fabric links actually bind, with
-warm starts on and off.
+:class:`~repro.network.allocator.EmulatorRateProvider` against its scalar
+``FlowSpec`` oracle (:mod:`oracles.allocator`) — on a clean crossbar and on
+an oversubscribed fat tree whose fabric links actually bind, with warm
+starts on and off.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.allocator import ScalarEmulatorProvider
 
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
@@ -98,7 +100,7 @@ def deltas(steps, max_live=10):
     return out
 
 
-def make_provider(technology, loaded_fabric, warm_start, vectorized):
+def make_provider(technology, loaded_fabric, warm_start, factory):
     topology = None
     if loaded_fabric:
         # 4:1 oversubscription on 12 hosts: the shared uplinks genuinely bind
@@ -106,9 +108,8 @@ def make_provider(technology, loaded_fabric, warm_start, vectorized):
             num_hosts=12, technology=technology,
             hosts_per_edge=4, uplinks_per_edge=1,
         )
-    return EmulatorRateProvider(
-        technology, topology=topology, num_hosts=12,
-        warm_start=warm_start, vectorized=vectorized,
+    return factory(
+        technology, topology=topology, num_hosts=12, warm_start=warm_start,
     )
 
 
@@ -124,8 +125,8 @@ class TestVectorizedEmulatorBitExact:
         self, technology, loaded_fabric, warm_start, steps
     ):
         tech = get_technology(technology)
-        vec = make_provider(tech, loaded_fabric, warm_start, vectorized=True)
-        ref = make_provider(tech, loaded_fabric, warm_start, vectorized=False)
+        vec = make_provider(tech, loaded_fabric, warm_start, EmulatorRateProvider)
+        ref = make_provider(tech, loaded_fabric, warm_start, ScalarEmulatorProvider)
         for added, removed, _live in deltas(steps):
             changed_vec = vec.update(added, removed)
             changed_ref = ref.update(added, removed)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.rates_only import RatesOnly
 
 from repro.cluster import custom_cluster, user_defined_placement
 from repro.core import GigabitEthernetModel, MyrinetModel, NoContentionModel
@@ -14,6 +15,7 @@ from repro.simulator import (
     EngineConfig,
     Simulator,
 )
+from repro.simulator.providers import ModelRateProvider
 from repro.units import KiB, MB
 
 
@@ -239,7 +241,6 @@ class TestIterationBudgetDiagnostics:
         from repro.simulator.events import ComputeEvent
         from repro.cluster import make_placement
         from repro.core import NoContentionModel
-        from repro.simulator.providers import ModelRateProvider
         from repro.exceptions import SimulationError
 
         def forever():
@@ -323,10 +324,8 @@ class TestDeltaEngineWork:
                 app.add_recv(leader, member + leader, tag=group)
         outcomes = {}
         for delta in (True, False):
-            sim = Simulator.predictive(
-                big, model=GigabitEthernetModel(),
-                config=EngineConfig(delta_rates=delta),
-            )
+            provider = ModelRateProvider(GigabitEthernetModel(), big.technology)
+            sim = Simulator(big, provider if delta else RatesOnly(provider))
             report = sim.run(app, placement="RRP")
             outcomes[delta] = (report.records, sim.last_engine_stats)
         records_delta, stats_delta = outcomes[True]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from oracles.pricing import FullRecomputeProvider
 
 from repro.core import FairShareModel, GigabitEthernetModel, PenaltyCache
 from repro.network.fluid import FluidTransferSimulator, Transfer
@@ -19,23 +20,20 @@ class TestFractionalSizeRounding:
         """Regression: int(transfer.size) used to truncate 0.4 B to a size-0
         communication mid-simulation."""
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        graph = provider._graph_from_transfers(
-            [Transfer(transfer_id=0, src=0, dst=1, size=0.4)]
-        )
+        provider.update([Transfer(transfer_id=0, src=0, dst=1, size=0.4)], [])
+        graph = provider._engine.graph
         assert graph["0"].size == 1
 
     def test_fractional_sizes_ceil_not_floor(self):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        graph = provider._graph_from_transfers(
-            [Transfer(transfer_id=0, src=0, dst=1, size=1048576.5)]
-        )
+        provider.update([Transfer(transfer_id=0, src=0, dst=1, size=1048576.5)], [])
+        graph = provider._engine.graph
         assert graph["0"].size == 1048577
 
     def test_integral_sizes_unchanged(self):
         provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-        graph = provider._graph_from_transfers(
-            [Transfer(transfer_id=0, src=0, dst=1, size=2048.0)]
-        )
+        provider.update([Transfer(transfer_id=0, src=0, dst=1, size=2048.0)], [])
+        graph = provider._engine.graph
         assert graph["0"].size == 2048
 
     def test_sub_byte_transfer_still_gets_a_rate(self):
@@ -46,8 +44,8 @@ class TestFractionalSizeRounding:
 
 class TestIncrementalProvider:
     def test_rates_match_full_recompute(self):
-        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
-        full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
+        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+        full = FullRecomputeProvider(GigabitEthernetModel(), "ethernet")
         active = transfers((0, 1), (0, 2), (3, 2), (5, 6))
         assert incremental.rates(active) == full.rates(active)
         # departure of transfer 1, arrival of a new flow
@@ -56,8 +54,8 @@ class TestIncrementalProvider:
         assert incremental.rates(active) == full.rates(active)
 
     def test_incremental_stats_count_less_work(self):
-        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=True)
-        full = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=False)
+        incremental = ModelRateProvider(GigabitEthernetModel(), "ethernet")
+        full = FullRecomputeProvider(GigabitEthernetModel(), "ethernet")
         base = transfers((0, 1), (2, 3), (4, 5), (6, 7))
         for provider in (incremental, full):
             provider.rates(base)
@@ -101,7 +99,7 @@ class TestIncrementalProvider:
             for t in batch
         ]
         results = {}
-        for mode in (True, False):
-            provider = ModelRateProvider(GigabitEthernetModel(), "ethernet", incremental=mode)
+        for mode, factory in ((True, ModelRateProvider), (False, FullRecomputeProvider)):
+            provider = factory(GigabitEthernetModel(), "ethernet")
             results[mode] = FluidTransferSimulator(provider).run(staggered)
         assert results[True] == results[False]
