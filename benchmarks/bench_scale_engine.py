@@ -718,10 +718,11 @@ class ChurnProvider:
     zero next to the calendar's own work (swap-remove churn, one
     vectorized rate-table recompute), so the bench isolates bookkeeping:
     value compare, integrate-at-old-rate, re-time, heap maintenance and
-    compaction.  Implements both sides of the delta contract: ``update``
-    returns the rate dict (the scalar pipeline), ``update_arrays`` the
-    ``(tids, float64-rates)`` pair the vectorized calendar probes for —
-    identical values, identical order.
+    compaction.  Implements both sides of the delta contract:
+    ``update_slots`` returns the slot-aligned ``(tids, slots,
+    float64-rates)`` the vectorized calendar takes, and ``update`` (the
+    scalar pipeline) is a dict view over it — identical values, identical
+    order.
     """
 
     #: one group is re-priced per call; 16 keeps the changed fraction at a
@@ -740,7 +741,7 @@ class ChurnProvider:
         self.slots = np.zeros(16, dtype=np.intp)      # calendar slot handles
         self.version = np.zeros(self.GROUPS, dtype=np.int64)
 
-    def _apply(self, added, removed, added_slots=None):
+    def _apply(self, added, removed, added_slots):
         from repro._numpy import np
 
         self.calls += 1
@@ -770,8 +771,7 @@ class ChurnProvider:
             tracked.append(tid)
             base[n] = 1e6 * (1.0 + 0.03 * (tid % 13))
             mod16[n] = tid % self.GROUPS
-            if added_slots is not None:
-                slots[n] = added_slots[j]
+            slots[n] = added_slots[j]
         # one bottleneck group re-prices per call; the rate table comes out
         # of one vectorized add over the cached static term — flights of
         # untouched groups land on the exact same float64 value, so only
@@ -782,15 +782,11 @@ class ChurnProvider:
         return base[:n] + 1e4 * (self.version[mod16[:n]] % 7)
 
     def update(self, added, removed):
-        rates = self._apply(added, removed)
         # materialize the dict the scalar contract requires, in tracked
-        # order (same order as the array handoffs, so entry sequence
+        # order (same order as the slot handoff, so entry sequence
         # numbers — and therefore pop order — match between the paths)
-        return dict(zip(self.tracked, rates.tolist()))
-
-    def update_arrays(self, added, removed):
-        # identical float64 values, no dict round-trip
-        return list(self.tracked), self._apply(added, removed)
+        tids, _, rates = self.update_slots(added, [-1] * len(added), removed)
+        return dict(zip(tids, rates.tolist()))
 
     def update_slots(self, added, added_slots, removed):
         # slot-handle handoff: rates come back already slot-aligned
@@ -814,7 +810,7 @@ CAL_BOOKKEEPING_ROUNDS = 50
 CAL_REPEATS = 5
 #: heap-strategy counters — legitimately differ between the two paths
 CAL_STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
-                         "handoff_tier_arrays", "handoff_tier_dict")
+                         "handoff_tier_dict")
 
 
 def run_calendar_bookkeeping(num_flights: int, vectorized: bool,
@@ -890,8 +886,8 @@ def test_calendar_bookkeeping(emit, num_hosts):
     heap_pops = array_stats["stale_entries"] + array_stats["completions"]
     speedup = scalar_time / array_time if array_time > 0 else float("inf")
     slot_fraction = array_stats["handoff_tier_slots"] / flushes
-    # CI guard: the fastest tier must actually carry the steady state — the
-    # vectorized run may not quietly downgrade to array/dict handoffs
+    # CI guard: the native slot handoff must actually carry the steady
+    # state — the vectorized run may not quietly drop to the dict adapter
     assert slot_fraction >= 0.9, array_stats
 
     lines = [

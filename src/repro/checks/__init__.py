@@ -14,8 +14,10 @@ code      name                          invariant
 ``RC03``  guarded-emission              hot-path ``.emit`` / ``.sample_record`` /
                                         PhaseTimer use dominated by an
                                         ``is not None`` test on the same name
-``RC04``  delta-contract                ``update_slots`` ⇒ ``update_arrays``;
-                                        ``rates()`` routes through ``update()``;
+``RC04``  delta-contract                ``update()`` routes through
+                                        ``update_slots()``, which needs
+                                        ``update``/``reset``; ``rates()``
+                                        routes through ``update()``;
                                         ``reset()`` is zero-arg
 ``RC05``  vectorized-parity-manifest    every ``vectorized`` toggle mapped to its
                                         property-test file in the parity manifest

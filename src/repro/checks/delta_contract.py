@@ -1,35 +1,30 @@
-"""RC04 — structural shape of the three-tier ``RateProvider`` delta contract.
+"""RC04 — structural shape of the ``RateProvider`` delta contract.
 
-The calendar probes providers for ``update`` → ``update_arrays`` →
-``update_slots`` (fastest available wins; see the
-:mod:`repro.network.fluid` docstring).  Three structural rules keep a
-provider from quietly landing outside the contract:
+The calendar hands every flow delta to a provider's ``update_slots`` when
+it has one, and serves an ``update``-only provider through one slot-aligning
+adapter (see the :mod:`repro.network.fluid` docstring).  Four structural
+rules keep a provider from quietly landing outside the contract:
 
-* **slots-implies-arrays** — a class speaking the slot tier must also speak
-  the array tier: when a rate-scale hook is installed the calendar skips
-  ``update_slots`` and falls back to ``update_arrays``; a provider without
-  it silently drops to the dict tier and the "no hash gather" claim is
-  void.  (Deliberate single-tier *test* providers suppress with a
-  rationale.)
-* **slots-invariant-methods** — a class speaking the slot tier must also
-  maintain the slot-map invariant method set: ``update`` (the calendar's
-  stall retry re-registers handles through the departure+arrival cycle,
-  and a scale window downgrades to the dict tier mid-run) and ``reset``
-  (the :meth:`~repro.network.fluid.TransferCalendar.reprice` that ends a
-  scale window re-seeds every handle through reset + full re-add).
-  Without both, a slot provider's handle bookkeeping cannot survive those
-  calendar paths.
+* **update-is-a-view** — a class defining both ``update`` and
+  ``update_slots`` must route ``update`` through ``update_slots`` (directly
+  or via helpers reachable by ``self.``-calls): the calendar prices through
+  ``update_slots`` while ``rates()`` shims and direct callers price through
+  ``update``, so two independent pricing walks could drift apart.
+* **slots-invariant-methods** — a class speaking ``update_slots`` must also
+  define ``update`` (the calendar takes the delta path, and with it
+  ``update_slots``, only when ``update`` exists) and ``reset`` (the
+  :meth:`~repro.network.fluid.TransferCalendar.reprice` re-seeds every
+  slot handle through reset + full re-add).
 * **rates-is-a-shim** — a class defining both ``update`` and ``rates`` must
-  route ``rates`` through ``update`` (directly or via helpers reachable by
-  ``self.``-calls): two independent pricing paths are exactly the drift the
-  delta contract forbids, since the tiers must stay bit-exact.
+  route ``rates`` through ``update`` the same way: a full-set query with
+  its own pricing is the same drift.
 * **reset-is-zero-arg** — ``reset()`` takes no arguments beyond ``self``:
   the calendar and the campaign runner call it blind between runs.
 
 Class bodies are resolved through same-file base classes (simple-name
-inheritance), so tiered test hierarchies are judged on their effective
-method set.  ``Protocol`` definitions are skipped — they declare the
-contract, they don't implement it.
+inheritance), so provider hierarchies are judged on their effective method
+set.  ``Protocol`` definitions are skipped — they declare the contract,
+they don't implement it.
 """
 
 from __future__ import annotations
@@ -41,8 +36,7 @@ from .base import Checker, CheckContext, ParsedModule, dotted_name
 
 __all__ = ["DeltaContractChecker"]
 
-_CONTRACT_METHODS = frozenset({"update", "update_arrays", "update_slots",
-                               "rates"})
+_CONTRACT_METHODS = frozenset({"update", "update_slots", "rates"})
 
 
 def _method_defs(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -87,10 +81,10 @@ def _extra_parameters(func: ast.FunctionDef) -> List[str]:
 class DeltaContractChecker(Checker):
     code = "RC04"
     name = "delta-contract"
-    description = ("RateProvider structure: update_slots implies "
-                   "update_arrays and the slot-map invariant methods "
-                   "(update/reset); rates() must be a shim over update(); "
-                   "reset() must be zero-arg")
+    description = ("RateProvider structure: update() must be a view over "
+                   "update_slots(), which needs update/reset beside it; "
+                   "rates() must be a shim over update(); reset() must be "
+                   "zero-arg")
 
     def visit_module(self, ctx: CheckContext, module: ParsedModule) -> None:
         classes: Dict[str, ast.ClassDef] = {
@@ -128,15 +122,16 @@ class DeltaContractChecker(Checker):
     def _check_class(self, ctx: CheckContext, module: ParsedModule,
                      cls: ast.ClassDef, own: Dict[str, ast.FunctionDef],
                      effective: Dict[str, ast.FunctionDef]) -> None:
-        if "update_slots" in effective and "update_arrays" not in effective:
-            anchor = own.get("update_slots")
-            ctx.report(module,
-                       anchor.lineno if anchor is not None else cls.lineno,
-                       self.code,
-                       f"class {cls.name!r} defines update_slots() without "
-                       "update_arrays(): with a rate-scale hook installed "
-                       "the calendar skips the slot tier and needs the "
-                       "array tier to fall back to")
+        if "update" in effective and "update_slots" in effective:
+            if not self._reaches(effective, "update", "update_slots"):
+                anchor = own.get("update") or own.get("update_slots")
+                ctx.report(module,
+                           anchor.lineno if anchor is not None else cls.lineno,
+                           self.code,
+                           f"class {cls.name!r} defines update() that does "
+                           "not route through update_slots(): the dict call "
+                           "must be a view over the slot walk or the two "
+                           "pricings can drift")
         if "update_slots" in effective:
             missing = [m for m in ("update", "reset") if m not in effective]
             if missing:
@@ -146,11 +141,12 @@ class DeltaContractChecker(Checker):
                            self.code,
                            f"class {cls.name!r} defines update_slots() "
                            "without the slot-map invariant method set "
-                           f"(missing: {', '.join(missing)}); stall retries "
-                           "and the reprice ending a rate-scale window "
-                           "re-seed slot handles through update()/reset()")
+                           f"(missing: {', '.join(missing)}); the calendar "
+                           "reaches update_slots() only beside update(), "
+                           "and reprice re-seeds slot handles through "
+                           "reset()")
         if "update" in effective and "rates" in effective:
-            if not self._reaches_update(effective):
+            if not self._reaches(effective, "rates", "update"):
                 anchor = own.get("rates") or own.get("update")
                 ctx.report(module,
                            anchor.lineno if anchor is not None else cls.lineno,
@@ -170,9 +166,10 @@ class DeltaContractChecker(Checker):
                            "calendar and campaign runner call it blind")
 
     @staticmethod
-    def _reaches_update(effective: Dict[str, ast.FunctionDef]) -> bool:
-        """Is ``update`` reachable from ``rates`` via self-method calls?"""
-        queue = ["rates"]
+    def _reaches(effective: Dict[str, ast.FunctionDef], start: str,
+                 target: str) -> bool:
+        """Is ``target`` reachable from ``start`` via self-method calls?"""
+        queue = [start]
         visited: Set[str] = set()
         while queue:
             name = queue.pop()
@@ -183,7 +180,7 @@ class DeltaContractChecker(Checker):
             if func is None:
                 continue
             calls = _self_calls(func)
-            if "update" in calls:
+            if target in calls:
                 return True
             queue.extend(call for call in calls if call in effective)
         return False

@@ -409,55 +409,24 @@ class IncrementalPenaltyEngine:
         self._fresh_intra.clear()
         return dict(self._penalties)
 
-    def refresh(self) -> Dict[str, float]:
-        """Price the dirty components and return **only** the re-priced penalties.
+    def refresh_handles(self) -> Tuple[List[object], "np.ndarray"]:
+        """Price the dirty components; return **only** the re-priced ones.
 
-        The delta counterpart of :meth:`penalties`: the returned mapping
-        covers exactly the communications whose penalty may have changed
-        since the previous refresh — the members of every component dirtied
-        by :meth:`add`/:meth:`remove` (arrivals, departures, and the
+        The delta counterpart of :meth:`penalties`: the result covers
+        exactly the communications whose penalty may have changed since the
+        previous refresh — the members of every component dirtied by
+        :meth:`add`/:meth:`remove` (arrivals, departures, and the
         neighbours they merged with or split from), plus intra-node arrivals
         (always re-priced to 1.0).  Communications of untouched components
         keep their stored penalty and are *not* returned, which is what lets
         a rate provider report "what changed" to the execution engine's
         event calendar without touching the rest of the active set.
-        """
-        repriced: Set[str] = set(self._fresh_intra)
-        for comp_id in self._dirty:
-            repriced.update(self._members[comp_id])
-        self._price_dirty()
-        self._fresh_intra.clear()
-        return {name: self._penalties[name] for name in repriced}
 
-    def refresh_arrays(self) -> Tuple[List[str], "np.ndarray"]:
-        """:meth:`refresh` with an array payload: ``(names, penalties)``.
-
-        The changed-set handoff of the batched rate path: the same re-priced
-        set, in the same iteration order as the dict :meth:`refresh` builds
-        (downstream batching relies on that order for bit-exact seq
-        assignment), as a name list plus a float64 penalty array — no
-        intermediate dict.
-        """
-        repriced: Set[str] = set(self._fresh_intra)
-        for comp_id in self._dirty:
-            repriced.update(self._members[comp_id])
-        self._price_dirty()
-        self._fresh_intra.clear()
-        names = list(repriced)
-        penalties = self._penalties
-        values = np.fromiter((penalties[name] for name in names),
-                             dtype=np.float64, count=len(names))
-        return names, values
-
-    def refresh_handles(self) -> Tuple[List[object], "np.ndarray"]:
-        """:meth:`refresh_arrays` keyed by stored handles: ``(handles, penalties)``.
-
-        Same re-priced set, same iteration order, but the name list is
-        replaced by the opaque handles registered at :meth:`add` time — the
-        slot-tier handoff, where the caller already encoded everything it
-        needs (tid, slot, intra flag) in the handle and no name→tid→slot
-        hash gathers happen per flush.  Every member of the re-priced set
-        must have been added with a handle.
+        Returns ``(handles, penalties)``: the opaque handles registered at
+        :meth:`add` time (slot-tier rate providers encode tid, slot and
+        intra flag there, so no name→tid→slot hash gathers happen per
+        flush) and a parallel float64 penalty array.  Every member of the
+        re-priced set must have been added with a handle.
         """
         repriced: Set[str] = set(self._fresh_intra)
         for comp_id in self._dirty:

@@ -391,14 +391,13 @@ class EmulatorRateProvider:
         self._resources_of_tid = {}
         self._counts = {}
 
-    def _track(self, transfer: Transfer,
-               slot: Optional[int] = None) -> Tuple[int, int]:
+    def _track(self, transfer: Transfer, slot: int) -> Tuple[int, int]:
         tid = transfer.transfer_id
         pair = (transfer.src, transfer.dst)
         self._active[tid] = transfer
         self._pair_of_tid[tid] = pair
-        # the bucket value is the transfer's calendar flight slot (slot tier
-        # only; None on the dict/array tiers, which never read the values)
+        # the bucket value is the transfer's calendar flight slot (-1 when
+        # it arrived through the dict view, which drops the slots)
         self._tids_of_pair.setdefault(pair, {})[tid] = slot
         bisect.insort(self._sorted_pairs, pair)
         resources = self._resources_for(transfer)
@@ -451,48 +450,23 @@ class EmulatorRateProvider:
 
         The whole delta is validated (membership and hosts) before any state
         changes, so a rejected call leaves the tracked set untouched and the
-        caller can retry.
+        caller can retry.  This is a dict view over :meth:`update_slots`
+        (arrivals carry the handle ``-1``): one pricing walk serves both.
         """
-        self._validate_delta(added, removed)
-        changed_pairs: List[Tuple[int, int]] = []
-        for tid in removed:
-            changed_pairs.append(self._untrack(tid))
-        added_tids: List[Hashable] = []
-        for transfer in added:
-            changed_pairs.append(self._track(transfer))
-            added_tids.append(transfer.transfer_id)
-        if not self._active:
-            self._last_by_pair = {}
-            self._primed = True
-            return {}
-        return self._allocate(changed_pairs, added_tids)
-
-    def update_arrays(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ):
-        """:meth:`update` with an array payload: ``(tids, rates)``.
-
-        Same re-priced membership in the same order as the dict tier — the
-        per-pair value diff already walks the changed set once, so the array
-        tier is a zero-copy re-shape of its result, not a second path.
-        """
-        changed = self.update(added, removed)
-        rates = np.fromiter(changed.values(), dtype=np.float64,
-                            count=len(changed))
-        return list(changed.keys()), rates
+        tids, _, rates = self.update_slots(added, [-1] * len(added), removed)
+        return dict(zip(tids, rates.tolist()))
 
     def update_slots(
         self, added: Sequence[Transfer], added_slots: Sequence[int],
         removed: Sequence[Hashable]
     ):
-        """:meth:`update_arrays` with slot handles: ``(tids, slots, rates)``.
+        """:meth:`update` with slot handles: ``(tids, slots, rates)``.
 
         The caller's flight slots ride the endpoint-pair buckets (stored as
         the bucket values at :meth:`_track` time), so the warm-started
         water-fill's changed-value diff comes back slot-aligned — the
         calendar applies it by direct array indexing with zero per-flush
-        hash gathers.  Membership, order and float64 values are identical
-        to the dict and array tiers.
+        hash gathers.
         """
         self._validate_delta(added, removed)
         changed_pairs: List[Tuple[int, int]] = []
@@ -554,70 +528,17 @@ class EmulatorRateProvider:
         self._rate_cache.put(key, by_pair)
         return by_pair, None
 
-    def _changed_pair_set(
-        self, by_pair: Dict[Tuple[int, int], float]
-    ) -> Set[Tuple[int, int]]:
-        """Pairs whose rate differs from the value-diff baseline.
-
-        Constructed identically on every tier (same elements, same insertion
-        history), so its iteration order — and with it the downstream
-        changed-set order the calendar's seq assignment relies on — is
-        tier-independent.
-        """
-        previous = self._last_by_pair
-        if previous is None:
-            return set(by_pair)
-        return {
-            pair for pair, rate in by_pair.items()
-            if previous.get(pair) != rate
-        }
-
-    def _allocate(
-        self,
-        changed_pairs: Sequence[Tuple[int, int]],
-        added_tids: Sequence[Hashable],
-    ) -> Dict[Hashable, float]:
-        """Price the tracked situation and report the changed rates."""
-        by_pair, raw = self._price_situation(changed_pairs)
-        if by_pair is None:
-            # rare fallback: diff (and store) rates per transfer
-            changed = {}
-            for tid, rate in raw.items():
-                if self._rates_by_tid.get(tid) != rate:
-                    changed[tid] = rate
-                    self._rates_by_tid[tid] = rate
-            for tid in added_tids:
-                changed.setdefault(tid, raw[tid])
-            self._last_by_pair = None
-            self._primed = True
-            return changed
-
-        changed_pair_set = self._changed_pair_set(by_pair)
-        changed: Dict[Hashable, float] = {}
-        for pair in changed_pair_set:
-            rate = by_pair[pair]
-            for tid in self._tids_of_pair.get(pair, ()):
-                changed[tid] = rate
-                self._rates_by_tid[tid] = rate
-        for tid in added_tids:
-            if tid not in changed:
-                rate = by_pair[self._pair_of_tid[tid]]
-                changed[tid] = rate
-                self._rates_by_tid[tid] = rate
-        self._last_by_pair = by_pair
-        self._primed = True
-        return changed
-
     def _allocate_slots(
         self,
         changed_pairs: Sequence[Tuple[int, int]],
         added_tids: Sequence[Hashable],
     ):
-        """Slot-aligned :meth:`_allocate`: parallel ``(tids, slots, rates)``.
+        """Price the tracked situation; report the changed rates slot-aligned.
 
-        Walks the same changed-pair set in the same order, but reads each
-        transfer's flight slot out of the endpoint buckets while walking —
-        no per-tid hash gather happens afterwards.
+        Returns parallel ``(tids, slots, rates)``: every transfer of a pair
+        whose rate changed, then every added transfer not already reported.
+        Each transfer's flight slot is read out of the endpoint buckets
+        while walking — no per-tid hash gather happens afterwards.
         """
         tids: List[Hashable] = []
         slot_list: List[int] = []
@@ -644,7 +565,17 @@ class EmulatorRateProvider:
             return (tids, np.asarray(slot_list, dtype=np.intp),
                     np.asarray(rate_list, dtype=np.float64))
 
-        changed_pair_set = self._changed_pair_set(by_pair)
+        # pairs whose rate differs from the value-diff baseline; the set's
+        # iteration order (a function of its elements and insertion history)
+        # fixes the changed-set order the calendar's seq assignment follows
+        previous = self._last_by_pair
+        if previous is None:
+            changed_pair_set = set(by_pair)
+        else:
+            changed_pair_set = {
+                pair for pair, rate in by_pair.items()
+                if previous.get(pair) != rate
+            }
         for pair in changed_pair_set:
             rate = by_pair[pair]
             for tid, slot in self._tids_of_pair.get(pair, {}).items():
@@ -695,7 +626,7 @@ class EmulatorRateProvider:
             t.transfer_id not in self._rates_by_tid for t in active
         ):
             # stored rates were dropped (invalidate_cache): full re-query
-            self._allocate(list(self._tids_of_pair), [])
+            self._allocate_slots(list(self._tids_of_pair), [])
         elif active:
             # no delta: the stored rates are current; a memoized situation
             # still counts as a hit (parity with the historical full query)

@@ -38,40 +38,32 @@ Rate providers expose two entry points:
   untouched.  Providers may also expose ``reset()`` to drop the tracked
   active set between independent runs (memo caches survive a reset).
 
-Providers can additionally opt into two faster *array* variants of the
-delta call — same semantics, cheaper handoff; the calendar probes for
-them at construction and uses the fastest one available when untraced:
+Providers that care about speed also define the slot-handle variant of
+the delta call — same semantics, no per-flush hash gather:
 
-* ``update_arrays(added, removed) -> (tids, rates)`` — the changed set as
-  a parallel id list + float64 ndarray instead of a dict, so the batched
-  apply consumes the provider's arrays without building (and immediately
-  unpacking) a mapping.
 * ``update_slots(added, added_slots, removed) -> (tids, slots, rates)`` —
-  the slot-handle tier: at flush the calendar passes each arrival's
-  structure-of-arrays *slot index* alongside the :class:`Transfer`; the
-  provider stores the handles and returns every subsequent changed set
-  already slot-aligned (intp ndarray), eliminating the per-flush
-  tid→slot hash gather entirely.  Returned slots are authoritative —
-  the provider must report only transfers it was handed and not yet
-  removed.  When a rate-scale hook is installed the calendar skips this
-  tier (scaling needs the per-id path), falling back to
-  ``update_arrays`` or ``update``; the :meth:`TransferCalendar.reprice`
-  that accompanies clearing the scale re-seeds the handles and re-enters
-  the slot tier.  Stall retries and reprices ride the same tier as
-  ordinary flushes, so a slot-tier provider's handle bookkeeping stays
-  consistent through the departure+arrival retry cycle.
+  at flush the calendar passes each arrival's structure-of-arrays *slot
+  index* alongside the :class:`Transfer`; the provider stores the handles
+  and returns every subsequent changed set already slot-aligned (parallel
+  id list, intp ndarray and float64 ndarray).  Returned slots are
+  authoritative — the provider must report only transfers it was handed
+  and not yet removed.
 
-Both built-in providers speak all three tiers
-(:class:`repro.simulator.providers.ModelRateProvider` threads slot handles
-through the incremental pricing engine's component bookkeeping;
-:class:`repro.network.allocator.EmulatorRateProvider` stores them in its
-endpoint-pair buckets).  All three tiers are bit-exact with one another:
-they must report the same transfers in the same order with identical
-float64 values, which the calendar turns into identical re-timings, seq
-numbers and heap entries.  Which tier served each flush is counted in
-``CalendarStats.handoff_tier_slots``/``_arrays``/``_dict``.  The full tier
-contract, including slot-map ownership rules, is documented in
-``docs/delta-handoff.md``.
+This is the calendar's only delta handoff.  Every flush, stall retry and
+reprice goes through it, traced or not and with or without a rate scale.
+A provider that defines only ``update`` (and the ``rates``-only full
+query) is served by one private adapter: it aligns the returned ids to
+slots through :attr:`SlotMap.slot_of` and drops ids the calendar does not
+hold.  Both built-in providers
+(:class:`repro.simulator.providers.ModelRateProvider`, which threads slot
+handles through the incremental pricing engine's component bookkeeping,
+and :class:`repro.network.allocator.EmulatorRateProvider`, which stores
+them in its endpoint-pair buckets) speak ``update_slots`` natively, and
+their ``update`` is a dict view over the same pricing walk.  Which path
+served each flush is counted in ``CalendarStats.handoff_tier_slots`` (a
+native ``update_slots``) and ``handoff_tier_dict`` (the adapter or the
+full query).  The contract, including slot-map ownership rules, is
+documented in ``docs/delta-handoff.md``.
 
 Calendar invariants
 -------------------
@@ -181,7 +173,7 @@ elementwise arithmetic performs the same IEEE-754 operations in the same
 per-flight order, heap entries carry unique ``(completion, seq)`` keys so
 the pop stream is a pure function of the entry *set* (never of the heap's
 internal arrangement), and seq numbers are drawn in changed-set order.
-Tracing never changes the strategy: the batch emits
+Tracing never changes the handoff or the strategy: the batch emits
 ``calendar.stall``/``calendar.retime`` records per flight in changed order
 and every path checks compaction once per apply (not per push), so traced
 and untraced runs see the same heap evolution and report the same stats.
@@ -445,9 +437,12 @@ class CalendarStats:
     bulk_merges: int = 0
     #: heap entries inserted through bulk merges (⊆ ``retimed``)
     bulk_entries: int = 0
-    #: flushes served by each provider handoff tier (slots/arrays/dict);
-    #: strategy counters — they name the handoff taken, not the work done
+    #: flushes (and reprices) served by the provider's native
+    #: ``update_slots``, and by the dict adapter or the full query; strategy
+    #: counters — they name the handoff taken, not the work done, and
+    #: tracing or a rate scale never moves a flush between them
     handoff_tier_slots: int = 0
+    #: always 0: kept so readers of the historical counter set still work
     handoff_tier_arrays: int = 0
     handoff_tier_dict: int = 0
 
@@ -558,7 +553,8 @@ class TransferCalendar:
     rate_provider:
         The provider; when it implements ``update`` (the delta contract)
         each flush hands it only the arrivals/departures since the previous
-        flush, through the fastest handoff tier it speaks.  A rates-only
+        flush, through its ``update_slots`` when it has one and through
+        the calendar's slot-aligning dict adapter otherwise.  A rates-only
         provider is re-queried with the full active set and the changed
         rates are found by value-diff — semantically identical, O(active)
         per flush.
@@ -609,14 +605,12 @@ class TransferCalendar:
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
         self.stats = CalendarStats()
         self._arr = _FlightArrays()
-        #: array-handoff delta entry point of the provider, when it has one
-        update_arrays = getattr(rate_provider, "update_arrays", None)
-        self._update_arrays = update_arrays if callable(update_arrays) else None
-        #: slot-handle handoff (the fastest tier): the provider keeps the
-        #: slot index the calendar assigned at activation and returns rates
-        #: already slot-aligned — no per-flush hash gather at all
+        #: the provider's native slot-handle handoff (delta providers only):
+        #: it keeps the slot index the calendar assigned at activation and
+        #: returns rates already slot-aligned — no per-flush hash gather
         update_slots = getattr(rate_provider, "update_slots", None)
-        self._update_slots = update_slots if callable(update_slots) else None
+        self._update_slots = (update_slots if self.delta and callable(update_slots)
+                              else None)
         self._heap: List[Tuple[float, int, Hashable, int]] = []
         self._seq = itertools.count()
         #: last epoch handed out; epochs are calendar-wide, so an entry left
@@ -714,10 +708,8 @@ class TransferCalendar:
         :meth:`reprice` call — otherwise already-applied rates would keep the
         old scale.  ``None`` restores the unscaled (bit-exact) path.
 
-        While a scale is installed, flushes skip the slot tier (scaling
-        needs the per-id path); the :meth:`reprice` that accompanies
-        clearing the scale re-seeds the provider's slot handles, so the
-        downgrade lasts exactly as long as the scale window.
+        The scale multiplies the provider's raw rates in slot space, after
+        the negative-rate check, on the same handoff as unscaled flushes.
         """
         self._rate_scale = scale
 
@@ -852,112 +844,103 @@ class TransferCalendar:
                 if self._stalled:
                     self._retry_stalled(now)
                 return
-            added = list(self._pending_added.values())
-            removed = list(self._pending_removed)
-            use_slots = (self._update_slots is not None
-                         and self._rate_scale is None)
-            if self._trace is None and (use_slots or self._update_arrays is not None):
-                slots = None
-                if use_slots:
-                    # slot-handle handoff: each arrival carries the slot
-                    # index the store assigned at activation; the provider
-                    # mirrors the add/remove stream and hands rates back
-                    # already slot-aligned (intp + float64 ndarrays) — the
-                    # steady state runs without a single tid hash lookup
-                    slot_of = self._arr.slots.slot_of
-                    added_slots = [slot_of[t.transfer_id] for t in added]
-                    tids, slots, rates = self._update_slots(
-                        added, added_slots, removed)
-                else:
-                    # array handoff: the provider returns (ids,
-                    # rates-ndarray) directly — no intermediate dict on the
-                    # batch path
-                    tids, rates = self._update_arrays(added, removed)
-                self._pending_added.clear()
-                self._pending_removed.clear()
-                self.stats.flushes += 1
-                if slots is not None:
-                    self.stats.handoff_tier_slots += 1
-                else:
-                    self.stats.handoff_tier_arrays += 1
-                self.stats.rate_updates += len(tids)
-                self.stats.active_at_flush += len(self._arr.slots)
-                self._apply_changed(tids, rates, now, slots=slots)
-                if self._stalled:
-                    self._retry_stalled(now)
-                return
-            changed: Mapping[Hashable, float] = self.provider.update(added, removed)
+            tids, slots, rates, reported = self._handoff(
+                list(self._pending_added.values()), list(self._pending_removed))
         else:
             if not self.active_count:
                 self._pending_added.clear()
                 self._pending_removed.clear()
                 return
-            changed = self.provider.rates(self._arr.transfers())
+            tids, slots, rates, reported = self._align(
+                self.provider.rates(self._arr.transfers()))
         self._pending_added.clear()
         self._pending_removed.clear()
-        self.stats.flushes += 1
-        self.stats.handoff_tier_dict += 1
-        self.stats.rate_updates += len(changed)
-        self.stats.active_at_flush += self.active_count
+        self._count_flush(reported)
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.flush", None, {
                 "added": added_count, "removed": removed_count,
-                "changed": len(changed), "active": self.active_count,
+                "changed": reported, "active": self.active_count,
             }))
-        self._apply_changed_map(changed, now)
+        self._apply_changed(tids, slots, rates, now)
         if self.delta and self._stalled:
             self._retry_stalled(now)
 
-    def _apply_changed_map(self, changed: Mapping[Hashable, float],
-                           now: float) -> None:
-        """Apply a dict-tier (or full-query) changed set."""
-        self._apply_changed(list(changed.keys()), list(changed.values()), now,
-                            full_keys=changed)
+    def _handoff(self, added: Sequence[Transfer], removed: Sequence[Hashable]):
+        """Hand one flow delta to the provider; return its answer slot-aligned.
 
-    def _apply_changed(self, tids: Sequence[Hashable], rates, now: float,
-                       full_keys=None, slots=None) -> None:
-        """Apply a changed set.
+        Returns ``(tids, slots, rates, reported)``: the changed set as a
+        parallel id list, intp slot array and float64 rate array, plus how
+        many rates the provider reported.  A native ``update_slots`` gets
+        each arrival's slot handle and answers slot-aligned; an
+        ``update``-only provider goes through :meth:`_align`.
+        """
+        if self._update_slots is not None:
+            slot_of = self._arr.slots.slot_of
+            tids, slots, rates = self._update_slots(
+                added, [slot_of[t.transfer_id] for t in added], removed)
+            return tids, slots, rates, len(tids)
+        return self._align(self.provider.update(added, removed))
 
-        ``rates`` is a float sequence or ndarray aligned with ``tids``;
-        ``full_keys`` is the changed-id container for the full-query missing
-        scan (ignored in delta mode, where absence means "unchanged").
-        ``slots``, when given, is the slot-handle handoff's intp ndarray
-        aligned with ``tids`` — authoritative (no unknown-id filtering), so
-        the whole gather is skipped.  Tiny batches run the per-flight loop;
-        the rest takes the numpy batch.  The choice never depends on
-        tracing — the batch emits the same record stream as the loop — so
-        traced and untraced runs do identical bookkeeping and report
-        identical stats.
+    def _align(self, changed: Mapping[Hashable, float]):
+        """Slot-align a dict answer (``update`` or a full ``rates`` query).
+
+        Same 4-tuple as :meth:`_handoff`; ids the calendar does not hold
+        are dropped (a full-map shim may echo them) but still count as
+        reported.
+        """
+        slot_of = self._arr.slots.slot_of
+        tids: List[Hashable] = []
+        slot_list: List[int] = []
+        rate_list: List[float] = []
+        for tid, rate in changed.items():
+            slot = slot_of.get(tid)
+            if slot is not None:
+                tids.append(tid)
+                slot_list.append(slot)
+                rate_list.append(rate)
+        return (tids, np.array(slot_list, dtype=np.intp),
+                np.array(rate_list, dtype=np.float64), len(changed))
+
+    def _count_flush(self, reported: int) -> None:
+        stats = self.stats
+        stats.flushes += 1
+        if self._update_slots is not None:
+            stats.handoff_tier_slots += 1
+        else:
+            stats.handoff_tier_dict += 1
+        stats.rate_updates += reported
+        stats.active_at_flush += len(self._arr.slots)
+
+    def _apply_changed(self, tids: List[Hashable], slots, rates,
+                       now: float) -> None:
+        """Apply a slot-aligned changed set.
+
+        ``slots`` (intp) and ``rates`` (float64) are ndarrays aligned with
+        ``tids``; the slots are authoritative, so no gather or unknown-id
+        filter runs.  Tiny batches run the per-flight loop; the rest takes
+        the numpy batch.  The choice never depends on tracing — the batch
+        emits the same record stream as the loop — so traced and untraced
+        runs do identical bookkeeping and report identical stats.
         """
         arr = self._arr
         fresh = 0
         if len(tids) < self.BATCH_MIN:
-            if slots is not None:
-                for tid, slot, rate in zip(tids, slots.tolist(), rates):
-                    if rate < 0:
-                        raise SimulationError(
-                            f"negative rate for transfer {tid!r}")
-                    self._apply_rate_slot(tid, slot, float(rate), now)
-            else:
-                slot_of = arr.slots.slot_of
-                for tid, rate in zip(tids, rates):
-                    slot = slot_of.get(tid)
-                    if slot is None:
-                        continue  # a full-map shim may echo ids the caller never activated
-                    if rate < 0:
-                        raise SimulationError(f"negative rate for transfer {tid!r}")
-                    self._apply_rate_slot(tid, slot, float(rate), now)
+            for tid, slot, rate in zip(tids, slots.tolist(), rates):
+                if rate < 0:
+                    raise SimulationError(f"negative rate for transfer {tid!r}")
+                self._apply_rate_slot(tid, slot, float(rate), now)
         else:
-            fresh = self._apply_batch(tids, rates, now, slots=slots)
+            fresh = self._apply_batch(tids, slots, rates, now)
         # in delta mode absence from the changed set means "rate unchanged"
         # (the contract); on a full query it means the provider dropped a
         # live transfer — never acceptable under "error", a zero rate under
         # "zero"
-        if full_keys is None or self.delta:
+        if self.delta:
             missing = ([tid for tid, slot in arr.slots.slot_of.items()
                         if not arr.rated[slot]] if arr.unrated else [])
         else:
-            missing = [tid for tid in arr.slots.slot_of if tid not in full_keys]
+            returned = set(tids)
+            missing = [tid for tid in arr.slots.slot_of if tid not in returned]
         if missing:
             if fresh:
                 # restore the heap invariant before raising or re-rating
@@ -971,8 +954,8 @@ class TransferCalendar:
                 self._apply_rate_slot(tid, slot_of[tid], 0.0, now)
         self._maybe_compact(now, fresh=fresh)
 
-    def _apply_batch(self, tids: Sequence[Hashable], rates, now: float,
-                     slots=None) -> int:
+    def _apply_batch(self, tids: List[Hashable], slots, rates,
+                     now: float) -> int:
         """One numpy dispatch over the whole changed set.
 
         Performs, for every flight whose rate value changed: integrate at
@@ -989,68 +972,23 @@ class TransferCalendar:
         emitted per flight in changed order — the interleaving of the
         per-flight loop.  Unlike that loop, a negative rate is rejected
         before *any* of the batch is applied (conforming providers never
-        return one).  When the slot-handle handoff supplies ``slots``, the
-        tid→slot gather is skipped entirely; the handles are authoritative
-        (an unknown-id filter would be meaningless — the provider mirrors
-        the calendar's own add/remove stream).
+        return one).  An installed rate scale multiplies the raw rates
+        after that check, elementwise — the loop's ``rate * scale(transfer)``.
         """
         arr = self._arr
-        slot_of = arr.slots.slot_of
+        tids = tids if isinstance(tids, list) else list(tids)
+        slots = np.asarray(slots, dtype=np.intp)
+        rate_new = np.asarray(rates, dtype=np.float64)
+        mn = rate_new.min()  # one reduce covers negativity + stall gates
+        if mn < 0.0:
+            tid = tids[int(np.argmax(rate_new < 0.0))]
+            raise SimulationError(f"negative rate for transfer {tid!r}")
         scale = self._rate_scale
-        if slots is not None:
-            # slot-handle handoff: the provider already aligned everything
-            # by slot — no gather, no unknown-id filter, no list conversion
-            kept_tids = tids if isinstance(tids, list) else list(tids)
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.asarray(slots, dtype=np.intp)
-            rate_new = np.asarray(rates, dtype=np.float64)
-            mn = rate_new.min()  # one reduce covers negativity + stall gates
-            if mn < 0.0:
-                tid = kept_tids[int(np.argmax(rate_new < 0.0))]
-                raise SimulationError(f"negative rate for transfer {tid!r}")
-        elif scale is None:
-            # common path: C-level slot gather, then one vectorized
-            # negativity check over the whole batch
-            slot_list = list(map(slot_of.get, tids))
-            if None in slot_list:
-                # a full-map shim may echo unknown ids: filter them out
-                kept_tids, kept_slots, kept_rates = [], [], []
-                for tid, slot, rate in zip(tids, slot_list, rates):
-                    if slot is not None:
-                        kept_tids.append(tid)
-                        kept_slots.append(slot)
-                        kept_rates.append(rate)
-                slot_list, rates = kept_slots, kept_rates
-            else:
-                kept_tids = tids if isinstance(tids, list) else list(tids)
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.array(slot_list, dtype=np.intp)
-            rate_new = np.asarray(rates, dtype=np.float64)
-            mn = rate_new.min()
-            if mn < 0.0:
-                tid = kept_tids[int(np.argmax(rate_new < 0.0))]
-                raise SimulationError(f"negative rate for transfer {tid!r}")
-        else:
-            kept_tids, slot_list, rate_list = [], [], []
+        if scale is not None:
             transfer = arr.transfer
-            for tid, rate in zip(tids, rates):
-                slot = slot_of.get(tid)
-                if slot is None:
-                    continue
-                if rate < 0:  # validate the raw rate, like the per-flight loop
-                    raise SimulationError(f"negative rate for transfer {tid!r}")
-                kept_tids.append(tid)
-                slot_list.append(slot)
-                rate_list.append(rate * scale(transfer[slot]))
-            k = len(kept_tids)
-            if not k:
-                return 0
-            slots = np.fromiter(slot_list, dtype=np.intp, count=k)
-            rate_new = np.fromiter(rate_list, dtype=np.float64, count=k)
+            rate_new = rate_new * np.fromiter(
+                (scale(transfer[slot]) for slot in slots.tolist()),
+                dtype=np.float64, count=len(tids))
             mn = rate_new.min()  # scaled negatives stall, like the loop path
         # stall-set bookkeeping, in changed order (skipped entirely in the
         # common all-positive, nothing-stalled case — a single float
@@ -1064,7 +1002,7 @@ class TransferCalendar:
             stalled = self._stalled
             if trace is not None:
                 stall_new = []
-                for i, tid in enumerate(kept_tids):
+                for i, tid in enumerate(tids):
                     if nonpos[i]:
                         if tid not in stalled:
                             stall_new.append(i)
@@ -1072,7 +1010,7 @@ class TransferCalendar:
                     else:
                         stalled.pop(tid, None)
             else:
-                for i, tid in enumerate(kept_tids):
+                for i, tid in enumerate(tids):
                     if nonpos[i]:
                         stalled[tid] = None
                     else:
@@ -1093,7 +1031,7 @@ class TransferCalendar:
         if not ci.size:
             if trace is not None and stall_new:
                 for i in stall_new:
-                    trace.emit(TraceRecord(now, "calendar.stall", kept_tids[i],
+                    trace.emit(TraceRecord(now, "calendar.stall", tids[i],
                                            {"rate": float(rate_new[i])}))
             return 0
         cs = slots[ci]
@@ -1146,9 +1084,9 @@ class TransferCalendar:
             batch_index = ci[pi].tolist()
         m = len(batch_index)
         if m > 1:
-            entry_tids = itemgetter(*batch_index)(kept_tids)
+            entry_tids = itemgetter(*batch_index)(tids)
         else:
-            entry_tids = [kept_tids[batch_index[0]]] if m else []
+            entry_tids = [tids[batch_index[0]]] if m else []
         # C-level tuple assembly, consumed exactly once below (extend or the
         # push loop); islice consumes exactly the m sequence numbers the
         # per-flight loop's per-entry next() would
@@ -1162,7 +1100,7 @@ class TransferCalendar:
             retime_rates = (c_rate_new if pi is None else c_rate_new[pi]).tolist()
             retime_rems = (rem if pi is None else rem[pi]).tolist()
             stall_set = set(stall_new) if stall_new else ()
-            for i, tid in enumerate(kept_tids):
+            for i, tid in enumerate(tids):
                 if i in stall_set:
                     trace.emit(TraceRecord(now, "calendar.stall", tid,
                                            {"rate": float(rate_new[i])}))
@@ -1197,7 +1135,8 @@ class TransferCalendar:
         re-report it — the escape hatch for flights an under-reporting
         provider left at rate zero (they have no calendar entry and would
         otherwise only resurface when an unrelated delta touched their
-        component).
+        component).  The cycle rides the flush handoff, so a native
+        provider re-registers each flight's slot handle.
         """
         arr = self._arr
         slot_of = arr.slots.slot_of
@@ -1205,23 +1144,10 @@ class TransferCalendar:
         if not retry:
             return
         transfer = arr.transfer
-        transfers = [transfer[slot_of[tid]] for tid in retry]
-        if (self._trace is None and self._update_slots is not None
-                and self._rate_scale is None):
-            # slot-tier retry: the departure+arrival cycle must re-register
-            # each flight's slot handle with the provider (a dict-tier
-            # re-add would strand the handle and break later slot flushes);
-            # the flight keeps its store slot, only the provider re-tracks
-            added_slots = [slot_of[tid] for tid in retry]
-            tids, slots, rates = self._update_slots(
-                transfers, added_slots, list(retry))
-            self.stats.stall_retries += len(retry)
-            self.stats.rate_updates += len(tids)
-            self._apply_changed(tids, rates, now, slots=slots)
-            return
-        changed = self.provider.update(transfers, list(retry))
+        tids, slots, rates, reported = self._handoff(
+            [transfer[slot_of[tid]] for tid in retry], list(retry))
         self.stats.stall_retries += len(retry)
-        self.stats.rate_updates += len(changed)
+        self.stats.rate_updates += reported
         if self._trace is not None:
             # a persistent stall re-emits this record every flush: bound the
             # payload to a count plus the first few ids
@@ -1230,7 +1156,7 @@ class TransferCalendar:
                 "ids": [str(tid)
                         for tid in retry[:self.STALL_RETRY_TRACE_IDS]],
             }))
-        self._apply_changed_map(changed, now)
+        self._apply_changed(tids, slots, rates, now)
 
     def reprice(self, now: float) -> None:
         """Force a full re-rate of every in-flight transfer.
@@ -1238,14 +1164,8 @@ class TransferCalendar:
         The delta contract cannot express "every rate may have changed"
         (e.g. after a link-degradation window toggles the rate scale), so
         this resets the provider's tracked set and re-adds the whole active
-        set in one delta; in full-query mode a plain re-query suffices.  Any
-        pending delta is flushed first.
-
-        The full re-add goes through the same tier dispatch as
-        :meth:`flush`: once a rate-scale window ends (``set_rate_scale(None)``
-        followed by this call), the reset+re-add re-seeds the provider's
-        slot handles and subsequent flushes re-enter the slot tier instead
-        of staying permanently downgraded.
+        set in one delta through the flush handoff; in full-query mode a
+        plain re-query suffices.  Any pending delta is flushed first.
         """
         self.flush(now)
         if not self.active_count:
@@ -1258,38 +1178,16 @@ class TransferCalendar:
                     "reprice() on a delta provider requires a reset() method"
                 )
             reset()
-            use_slots = (self._update_slots is not None
-                         and self._rate_scale is None)
-            if self._trace is None and (use_slots or self._update_arrays is not None):
-                slots = None
-                if use_slots:
-                    # re-seed every flight's slot handle with the freshly
-                    # reset provider, so the slot tier resumes immediately
-                    slot_of = self._arr.slots.slot_of
-                    added_slots = [slot_of[t.transfer_id] for t in transfers]
-                    tids, slots, rates = self._update_slots(
-                        transfers, added_slots, [])
-                    self.stats.handoff_tier_slots += 1
-                else:
-                    tids, rates = self._update_arrays(transfers, [])
-                    self.stats.handoff_tier_arrays += 1
-                self.stats.flushes += 1
-                self.stats.rate_updates += len(tids)
-                self.stats.active_at_flush += self.active_count
-                self._apply_changed(tids, rates, now, slots=slots)
-                return
-            changed: Mapping[Hashable, float] = self.provider.update(transfers, [])
+            tids, slots, rates, reported = self._handoff(transfers, [])
         else:
-            changed = self.provider.rates(transfers)
-        self.stats.flushes += 1
-        self.stats.handoff_tier_dict += 1
-        self.stats.rate_updates += len(changed)
-        self.stats.active_at_flush += self.active_count
+            tids, slots, rates, reported = self._align(
+                self.provider.rates(transfers))
+        self._count_flush(reported)
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.reprice", None, {
-                "active": self.active_count, "changed": len(changed),
+                "active": self.active_count, "changed": reported,
             }))
-        self._apply_changed_map(changed, now)
+        self._apply_changed(tids, slots, rates, now)
 
     def pop_due(self, now: float) -> List[Transfer]:
         """Complete every transfer whose calendar entry is due at ``now``.
@@ -1368,21 +1266,31 @@ class RateScaleRegistry:
     opaque handles and their composition (see
     :func:`repro.simulator.interference.compose_rate_scales`) is installed
     on the calendar after every change — ``None`` (the bit-exact unscaled
-    path) once the last scale is removed.
+    path) once the last scale is removed.  With a trace sink attached, each
+    change emits its ``inject.rate_scale_on``/``_off`` record.
     """
 
-    def __init__(self, calendar: TransferCalendar) -> None:
+    def __init__(self, calendar: TransferCalendar,
+                 trace: Optional[TraceSink] = None) -> None:
         self._calendar = calendar
+        self._trace = active_sink(trace)
         self._scales: Dict[int, Callable[[Transfer], float]] = {}
         self._seq = itertools.count()
 
-    def add(self, scale: Callable[[Transfer], float]) -> int:
+    def add(self, scale: Callable[[Transfer], float], now: float,
+            info: Optional[Dict] = None) -> int:
         handle = next(self._seq)
         self._scales[handle] = scale
         self._install()
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(now, "inject.rate_scale_on",
+                                         handle, dict(info or {})))
         return handle
 
-    def remove(self, handle: Optional[int]) -> None:
+    def remove(self, handle: Optional[int], now: float) -> None:
+        if self._trace is not None and handle is not None:
+            self._trace.emit(TraceRecord(now, "inject.rate_scale_off",
+                                         handle, {}))
         self._scales.pop(handle, None)
         self._install()
 
@@ -1417,7 +1325,7 @@ class _FluidInjectionState:
         self.fired = 0
         self._calendar = calendar
         self._flow_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(calendar)
+        self._rate_scales = RateScaleRegistry(calendar, trace)
         self._trace = active_sink(trace)
 
     # ------------------------------------------------------------- flows
@@ -1445,17 +1353,10 @@ class _FluidInjectionState:
     # ------------------------------------------------------------- scaling
     def add_rate_scale(self, scale: Callable[[Transfer], float],
                        info: Optional[Dict] = None) -> int:
-        handle = self._rate_scales.add(scale)
-        if self._trace is not None:
-            self._trace.emit(TraceRecord(self.now, "inject.rate_scale_on",
-                                         handle, dict(info or {})))
-        return handle
+        return self._rate_scales.add(scale, self.now, info)
 
     def remove_rate_scale(self, handle: Optional[int]) -> None:
-        if self._trace is not None and handle is not None:
-            self._trace.emit(TraceRecord(self.now, "inject.rate_scale_off",
-                                         handle, {}))
-        self._rate_scales.remove(handle)
+        self._rate_scales.remove(handle, self.now)
 
     def add_compute_scale(self, scale, info: Optional[Dict] = None) -> Optional[int]:
         return None  # nothing computes in a pure transfer simulation

@@ -365,7 +365,7 @@ class _EngineInjectionState:
         self._engine = engine
         self._flow_seq = itertools.count()
         self._scale_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(engine._calendar)
+        self._rate_scales = RateScaleRegistry(engine._calendar, engine._trace)
         cluster = engine.placement.cluster
         if cluster is not None:
             self.hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))
@@ -406,19 +406,10 @@ class _EngineInjectionState:
 
     # ------------------------------------------------------------- scaling
     def add_rate_scale(self, scale, info=None) -> int:
-        handle = self._rate_scales.add(scale)
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.rate_scale_on",
-                                           handle, dict(info or {})))
-        return handle
+        return self._rate_scales.add(scale, self._engine.now, info)
 
     def remove_rate_scale(self, handle) -> None:
-        engine = self._engine
-        if engine._trace is not None and handle is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.rate_scale_off",
-                                           handle, {}))
-        self._rate_scales.remove(handle)
+        self._rate_scales.remove(handle, self._engine.now)
 
     def add_compute_scale(self, scale, info=None) -> int:
         handle = next(self._scale_seq)

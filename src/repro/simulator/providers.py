@@ -85,7 +85,6 @@ class ModelRateProvider:
         self._engine = IncrementalPenaltyEngine(model, cache=cache, map_fn=map_fn)
         # delta-contract state: the tracked active set and its current rates
         self._active: Dict[Hashable, Transfer] = {}
-        self._tid_of: Dict[str, Hashable] = {}
         self._rates: Dict[Hashable, float] = {}
 
     @property
@@ -122,29 +121,22 @@ class ModelRateProvider:
             size=self._comm_size(transfer),
         )
 
-    def _rate_of(self, transfer: Transfer, penalty: float) -> float:
-        penalty = max(1.0, penalty)
-        if transfer.is_intra_node:
-            return self.technology.memory_bandwidth / penalty
-        return self.technology.single_stream_bandwidth / penalty
-
     # ---------------------------------------------------------------- deltas
     def reset(self) -> None:
         """Forget the tracked active set (memoized situations survive)."""
         self._engine.reset()
         self._active.clear()
-        self._tid_of.clear()
         self._rates.clear()
 
     def _apply_delta(
         self, added: Sequence[Transfer], removed: Sequence[Hashable],
-        added_slots: Sequence[int] | None = None,
+        added_slots: Sequence[int],
     ) -> None:
         """Validate the whole delta, then apply it to the tracked set.
 
-        ``added_slots`` (slot tier only) is parallel to ``added``; each
-        arrival's ``(tid, slot, is_intra)`` handle is registered with the
-        incremental engine so re-priced sets come back slot-aligned.
+        ``added_slots`` is parallel to ``added``; each arrival's
+        ``(tid, slot, is_intra)`` handle is registered with the incremental
+        engine so re-priced sets come back slot-aligned.
         """
         departing = set()
         for tid in removed:
@@ -158,17 +150,14 @@ class ModelRateProvider:
                 raise SimulationError(f"transfer {tid!r} added to the rate set twice")
             remaining.add(tid)
         for tid in removed:
-            transfer = self._active.pop(tid)
-            del self._tid_of[str(tid)]
+            self._active.pop(tid)
             self._rates.pop(tid, None)
             self._engine.remove(str(tid))
-        for index, transfer in enumerate(added):
+        for transfer, slot in zip(added, added_slots):
             tid = transfer.transfer_id
             self._active[tid] = transfer
-            self._tid_of[str(tid)] = tid
-            handle = (None if added_slots is None else
-                      (tid, added_slots[index], transfer.is_intra_node))
-            self._engine.add(self._communication(transfer), handle)
+            self._engine.add(self._communication(transfer),
+                             (tid, slot, transfer.is_intra_node))
 
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
@@ -176,66 +165,29 @@ class ModelRateProvider:
         """Apply a flow delta; return the rates of the re-priced transfers.
 
         The returned mapping covers exactly the membership of the conflict
-        components the delta dirtied (plus intra-node arrivals).
+        components the delta dirtied (plus intra-node arrivals).  It is a
+        dict view over :meth:`update_slots` (arrivals carry the handle
+        ``-1``), so both entry points share one pricing walk.
 
         The whole delta is validated before any state changes, so a rejected
         call leaves the tracked set untouched and the caller (e.g. a
         :class:`~repro.network.fluid.TransferCalendar` holding its pending
         queues) can retry.
         """
-        self._apply_delta(added, removed)
-
-        changed: Dict[Hashable, float] = {}
-        for name, penalty in self._engine.refresh().items():
-            tid = self._tid_of[name]
-            changed[tid] = self._rate_of(self._active[tid], penalty)
-        self._rates.update(changed)
-        return changed
-
-    def update_arrays(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ):
-        """:meth:`update` with an array payload: ``(tids, rates)``.
-
-        The batched handoff the
-        :class:`~repro.network.fluid.TransferCalendar` probes for: the same
-        re-priced set in the same order as :meth:`update` would report
-        (downstream seq assignment relies on that), as an id list plus a
-        float64 rate array — penalties converted to rates in one vectorized
-        dispatch with no intermediate dict.  The tracked ``_rates`` stay
-        dict-of-Python-floats either way, so mixing array and dict calls is
-        safe.
-        """
-        self._apply_delta(added, removed)
-        names, penalties = self._engine.refresh_arrays()
-        tids = [self._tid_of[name] for name in names]
-        if not tids:
-            return tids, np.empty(0, dtype=np.float64)
-        active = self._active
-        intra = np.fromiter((active[tid].is_intra_node for tid in tids),
-                            dtype=bool, count=len(tids))
-        # elementwise max + one division: identical IEEE-754 operations to
-        # the scalar _rate_of, so each rate is bit-identical
-        penalties = np.maximum(1.0, penalties)
-        bandwidth = np.where(intra, self.technology.memory_bandwidth,
-                             self.technology.single_stream_bandwidth)
-        rates = bandwidth / penalties
-        self._rates.update(zip(tids, rates.tolist()))
-        return tids, rates
+        tids, _, rates = self.update_slots(added, [-1] * len(added), removed)
+        return dict(zip(tids, rates.tolist()))
 
     def update_slots(
         self, added: Sequence[Transfer], added_slots: Sequence[int],
         removed: Sequence[Hashable]
     ):
-        """:meth:`update_arrays` with slot handles: ``(tids, slots, rates)``.
+        """:meth:`update` with slot handles: ``(tids, slots, rates)``.
 
-        The fastest calendar handoff: the caller passes each arrival's flight
+        The calendar's handoff: the caller passes each arrival's flight
         slot alongside the transfer, the handles ride the incremental
         engine's component bookkeeping, and the re-priced set comes back as
         parallel (tid, slot, rate) sequences — the calendar applies them by
-        direct array indexing with zero per-flush hash gathers.  Same
-        re-priced membership, same order, bit-identical float64 rates as the
-        dict and array tiers.
+        direct array indexing with zero per-flush hash gathers.
         """
         self._apply_delta(added, removed, added_slots)
         handles, penalties = self._engine.refresh_handles()
@@ -247,7 +199,8 @@ class ModelRateProvider:
                             dtype=np.intp, count=count)
         intra = np.fromiter((handle[2] for handle in handles),
                             dtype=bool, count=count)
-        # identical IEEE-754 operations to update_arrays/_rate_of
+        # elementwise max + one division: the IEEE-754 operations of
+        # ``bandwidth / max(1.0, penalty)`` per transfer
         penalties = np.maximum(1.0, penalties)
         bandwidth = np.where(intra, self.technology.memory_bandwidth,
                              self.technology.single_stream_bandwidth)

@@ -1,11 +1,11 @@
-"""Seeded RC04 violations: three contract-shape breakages."""
+"""Seeded RC04 violations: four contract-shape breakages."""
 
 
-class SlotsWithoutArrays:
+class TwoPricingWalks:
     def update(self, added, removed):
         return {}
 
-    def update_slots(self, added_slots, removed):
+    def update_slots(self, added, added_slots, removed):
         return (), (), ()
 
 

@@ -1,14 +1,16 @@
-"""Clean twin: a full three-tier provider with a conforming shim."""
+"""Clean twin: a slot provider whose update() and rates() are views."""
 
 
-class TieredProvider:
+class SlotProvider:
     def update(self, added, removed):
-        return {}
+        # the dict view reaches update_slots() transitively, through _slots()
+        tids, _, rates = self._slots(added, removed)
+        return dict(zip(tids, rates))
 
-    def update_arrays(self, added, removed):
-        return (), ()
+    def _slots(self, added, removed):
+        return self.update_slots(added, [-1] * len(added), removed)
 
-    def update_slots(self, added_slots, removed):
+    def update_slots(self, added, added_slots, removed):
         return (), (), ()
 
     def rates(self, active):
@@ -22,8 +24,8 @@ class TieredProvider:
         pass
 
 
-class InheritedArrays(TieredProvider):
-    """update_slots is fine here: update_arrays comes from the base class."""
+class InheritedView(SlotProvider):
+    """Overriding update_slots is fine: the inherited update() reaches it."""
 
-    def update_slots(self, added_slots, removed):
+    def update_slots(self, added, added_slots, removed):
         return (), (), ()

@@ -111,14 +111,14 @@ class TestDeltaContractRC04:
         findings, _ = run_check([self.ROOT / "bad_provider.py"],
                                 root=self.ROOT,
                                 checkers=[DeltaContractChecker])
-        # SlotsWithoutArrays (no reset) trips both slot-tier rules at the
-        # update_slots def line
-        assert triples(findings) == [("bad_provider.py", 8, "RC04"),
+        # TwoPricingWalks (no reset) trips the view rule at its update def
+        # line and the invariant-method rule at its update_slots def line
+        assert triples(findings) == [("bad_provider.py", 5, "RC04"),
                                      ("bad_provider.py", 8, "RC04"),
                                      ("bad_provider.py", 16, "RC04"),
                                      ("bad_provider.py", 24, "RC04")]
         messages = "\n".join(f.message for f in findings)
-        assert "update_slots() without update_arrays()" in messages
+        assert "update() that does not route through update_slots()" in messages
         assert "slot-map invariant method set (missing: reset)" in messages
         assert "does not route through update()" in messages
         assert "reset() must be zero-arg" in messages

@@ -314,32 +314,38 @@ class TestCacheTelemetry:
         assert cache.stats()["hits"] == 1
 
 
+def refreshed(engine):
+    """``refresh_handles()`` as a handle → penalty mapping."""
+    handles, penalties = engine.refresh_handles()
+    return dict(zip(handles, penalties.tolist()))
+
+
 class TestRefreshDeltaInterface:
     def test_refresh_returns_only_repriced_communications(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
-        engine.add(comm("c", 5, 6))
-        first = engine.refresh()
+        engine.add(comm("a", 0, 1), "a")
+        engine.add(comm("b", 0, 2), "b")
+        engine.add(comm("c", 5, 6), "c")
+        first = refreshed(engine)
         assert set(first) == {"a", "b", "c"}
         # a new flow conflicting only with c's component re-prices just it
-        engine.add(comm("d", 5, 7))
-        second = engine.refresh()
+        engine.add(comm("d", 5, 7), "d")
+        second = refreshed(engine)
         assert set(second) == {"c", "d"}
         assert engine.penalties()["a"] == first["a"]
 
     def test_refresh_reports_intra_node_arrivals(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("intra", 3, 3))
-        assert engine.refresh() == {"intra": 1.0}
-        assert engine.refresh() == {}
+        engine.add(comm("intra", 3, 3), "intra")
+        assert refreshed(engine) == {"intra": 1.0}
+        assert refreshed(engine) == {}
 
     def test_refresh_reports_departure_fallout(self):
         engine = IncrementalPenaltyEngine(GigabitEthernetModel())
-        engine.add(comm("a", 0, 1))
-        engine.add(comm("b", 0, 2))
-        engine.refresh()
+        engine.add(comm("a", 0, 1), "a")
+        engine.add(comm("b", 0, 2), "b")
+        refreshed(engine)
         engine.remove("a")
-        fallout = engine.refresh()
+        fallout = refreshed(engine)
         assert set(fallout) == {"b"}          # b's component was re-priced
         assert fallout["b"] == 1.0            # and is now conflict-free

@@ -25,6 +25,7 @@ from repro.exceptions import ReproError
 from repro.network.fluid import SlotMap, Transfer, TransferCalendar
 from repro.obs import MetricsRegistry
 from repro.obs.registry import PhaseTimer
+from repro.trace import MemoryTraceSink, assert_traces_equal
 
 BOTH_PATHS = pytest.mark.parametrize(
     "calendar_cls", [TransferCalendar, ScalarTransferCalendar],
@@ -32,7 +33,7 @@ BOTH_PATHS = pytest.mark.parametrize(
 
 #: heap-strategy counters that legitimately differ scalar-vs-array
 STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
-                     "handoff_tier_arrays", "handoff_tier_dict")
+                     "handoff_tier_dict")
 
 
 class ScriptedDelta:
@@ -353,13 +354,13 @@ class TestFlushTimerSampling:
 
 
 class TieredDelta:
-    """One deterministic rate machine behind all three delta handoff tiers.
+    """One deterministic rate machine behind both delta handoffs.
 
     Dense contract: every call returns a rate for the whole tracked set, of
-    which one hash group (``tid % GROUPS``) is re-priced per call.  The
-    three subclasses expose exactly one array entry point each, so a
-    calendar built on them exercises exactly that handoff — with identical
-    float64 values in identical (tracked) order.
+    which one hash group (``tid % GROUPS``) is re-priced per call.  This
+    class speaks only ``update`` (the calendar's dict adapter);
+    :class:`SlotTierDelta` adds the native ``update_slots`` — with
+    identical float64 values in identical (tracked) order.
     """
 
     GROUPS = 4
@@ -403,16 +404,11 @@ class TieredDelta:
         self.slot_handles = {}
 
 
-class ArraysTierDelta(TieredDelta):
-    def update_arrays(self, added, removed):
-        rates = self._apply(added, removed)
-        return list(self.tracked), np.asarray(rates, dtype=np.float64)
-
-
 class SlotTierDelta(TieredDelta):
-    # single-tier on purpose: this double isolates the slot-handle tier, so
-    # the rate-scale fallback test below must land on the dict path
-    # repro-check: ignore[RC04] — deliberate slots-without-arrays test double
+    def update(self, added, removed):
+        tids, _, rates = self.update_slots(added, [-1] * len(added), removed)
+        return dict(zip(tids, rates.tolist()))
+
     def update_slots(self, added, added_slots, removed):
         rates = self._apply(added, removed, added_slots)
         slots = np.fromiter((self.slot_handles[t] for t in self.tracked),
@@ -446,22 +442,20 @@ def run_churn(provider, calendar_cls=TransferCalendar, num_flights=24, rounds=12
 
 
 class TestSlotHandleHandoff:
-    """The slot-handle handoff tier agrees bit-for-bit with the dict tier."""
+    """The slot-handle handoff agrees bit-for-bit with the dict adapter."""
 
-    def test_all_three_tiers_agree_under_churn(self):
-        """Same churn workload, three handoffs: identical completions/stats.
+    def test_slot_and_dict_handoffs_agree_under_churn(self):
+        """Same churn workload, both handoffs: identical completions/stats.
 
         The loop completes flights mid-run (freeing slots that later
         arrivals reuse), cancels others and re-prices a rotating group —
         the slot table the provider mirrors must track all of it.
         """
         scalar = run_churn(TieredDelta(), ScalarTransferCalendar)
-        dict_array = run_churn(TieredDelta())
-        arrays = run_churn(ArraysTierDelta())
+        adapted = run_churn(TieredDelta())
         slots = run_churn(SlotTierDelta())
         assert slots == scalar
-        assert arrays == scalar
-        assert dict_array == scalar
+        assert adapted == scalar
 
     def test_small_batches_take_the_slot_loop(self):
         """Below ``BATCH_MIN`` the slot handoff runs the per-flight loop."""
@@ -485,51 +479,58 @@ class TestSlotHandleHandoff:
         with pytest.raises(ReproError, match="negative rate"):
             calendar.flush(0.0)
 
-    def test_rate_scale_falls_back_past_the_slot_tier(self):
-        """An installed rate scale bypasses update_slots (scaled rates need
-        per-transfer python hooks); a slots-only provider falls back to the
-        dict contract rather than crashing on the missing array tier."""
-        provider = SlotTierDelta()
-        calendar = TransferCalendar(provider)
-        calendar.set_rate_scale(lambda transfer: 0.5)
-        for i in range(6):
-            calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
-        calendar.flush(0.0)
-        assert calendar.stats.retimed == 6
-        # scaled completion: rate 100*(1+tid%3)+10*v halved
-        assert calendar.next_time() is not None
+    def test_rate_scale_window_stays_on_the_slot_tier(self):
+        """Installing, repricing under and clearing a rate scale never
+        leaves the slot tier, and the scaled run matches the scalar
+        oracle's completions and counters."""
+        def run(calendar_cls):
+            calendar = calendar_cls(SlotTierDelta())
+            for i in range(6):
+                calendar.activate(Transfer(i, 0, 1, 1e7), now=0.0)
+            calendar.flush(0.0)
+            calendar.set_rate_scale(lambda transfer: 0.5)
+            calendar.reprice(1.0)
+            calendar.activate(Transfer(6, 0, 1, 1e7), now=1.0)
+            calendar.flush(1.0)
+            calendar.set_rate_scale(None)
+            calendar.reprice(2.0)
+            calendar.activate(Transfer(7, 0, 1, 1e7), now=2.0)
+            calendar.flush(2.0)
+            done = [t.transfer_id for t in calendar.pop_due(1e9)]
+            return done, calendar.stats.snapshot()
 
-    def test_rate_scale_window_reenters_the_slot_tier(self):
-        """The reprice that ends a rate-scale window re-seeds every slot
-        handle, so the slot tier resumes for the rest of the run.
+        done, stats = run(TransferCalendar)
+        assert sorted(done) == list(range(8))
+        assert stats["handoff_tier_slots"] == stats["flushes"] == 5
+        assert stats["handoff_tier_dict"] == 0
+        scalar_done, scalar_stats = run(ScalarTransferCalendar)
+        assert done == scalar_done
+        for key in STRATEGY_COUNTERS:
+            stats.pop(key)
+            scalar_stats.pop(key)
+        assert stats == scalar_stats
 
-        Regression: clearing the scale used to leave the calendar on the
-        fallback tier forever — flights re-added through the dict contract
-        during the window had no handles, so the provider's slot mirror
-        would KeyError on the next slot flush.
-        """
-        provider = SlotTierDelta()
-        calendar = TransferCalendar(provider)
-        for i in range(6):
-            calendar.activate(Transfer(i, 0, 1, 1e7), now=0.0)
-        calendar.flush(0.0)
-        assert calendar.stats.handoff_tier_slots == 1
-        # scale window: flushes downgrade past the slot tier (here all the
-        # way to the dict contract — SlotTierDelta has no array tier)
-        calendar.set_rate_scale(lambda transfer: 0.5)
-        calendar.reprice(1.0)
-        calendar.activate(Transfer(6, 0, 1, 1e7), now=1.0)
-        calendar.flush(1.0)
-        assert calendar.stats.handoff_tier_slots == 1
-        assert calendar.stats.handoff_tier_dict == 2
-        # window over: the clearing reprice re-adds the whole active set
-        # through update_slots, re-seeding every handle
-        calendar.set_rate_scale(None)
-        calendar.reprice(2.0)
-        assert calendar.stats.handoff_tier_slots == 2
-        # ...so later slot flushes find the full mirror intact
-        calendar.activate(Transfer(7, 0, 1, 1e7), now=2.0)
-        calendar.flush(2.0)
-        assert calendar.stats.handoff_tier_slots == 3
-        done = calendar.pop_due(1e9)
-        assert sorted(t.transfer_id for t in done) == list(range(8))
+    def test_zero_scale_stalls_a_slot_batch(self):
+        """A scale of 0.0 on part of a batched slot flush stalls exactly
+        those flights (no heap entry), traced like the scalar oracle."""
+        def run(calendar_cls):
+            sink = MemoryTraceSink()
+            calendar = calendar_cls(SlotTierDelta(), trace=sink)
+            calendar.set_rate_scale(
+                lambda transfer: 0.0 if transfer.transfer_id % 3 == 0 else 0.5)
+            for i in range(2 * TransferCalendar.BATCH_MIN):
+                calendar.activate(Transfer(i, 0, 1, 1e4), now=0.0)
+            calendar.flush(0.0)
+            stalled = calendar.stalled_ids()
+            calendar.set_rate_scale(None)
+            calendar.reprice(1.0)
+            done = [t.transfer_id for t in calendar.pop_due(1e9)]
+            return stalled, done, sink.log()
+
+        stalled, done, log = run(TransferCalendar)
+        assert stalled == (0, 3, 6)
+        assert sorted(done) == list(range(2 * TransferCalendar.BATCH_MIN))
+        scalar_stalled, scalar_done, scalar_log = run(ScalarTransferCalendar)
+        assert (stalled, done) == (scalar_stalled, scalar_done)
+        assert_traces_equal(log, scalar_log, label_a="slots",
+                            label_b="scalar")

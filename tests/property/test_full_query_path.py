@@ -39,7 +39,7 @@ common_settings = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-TIER_COUNTERS = ("handoff_tier_slots", "handoff_tier_arrays", "handoff_tier_dict")
+TIER_COUNTERS = ("handoff_tier_slots", "handoff_tier_dict")
 QUERY_COUNTERS = ("flushes", "rate_updates", "active_at_flush", "stall_retries")
 STRATEGY_COUNTERS = TIER_COUNTERS + ("bulk_merges", "bulk_entries")
 

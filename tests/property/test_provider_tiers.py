@@ -1,26 +1,24 @@
-"""Three-tier delta-handoff equivalence for the *real* rate providers.
+"""Delta-handoff equivalence for the *real* rate providers.
 
-PR 8 proved the dict/array handoff tiers bit-exact against scripted test
-doubles; this suite closes the loop on the production providers.  Both
-:class:`~repro.simulator.providers.ModelRateProvider` (analytical
+Both :class:`~repro.simulator.providers.ModelRateProvider` (analytical
 contention model over the incremental penalty engine) and
 :class:`~repro.network.allocator.EmulatorRateProvider` (warm-started
-water-filling allocator) speak all three tiers of the delta contract —
+water-filling allocator) speak both entry points of the delta contract —
 
-* ``update(added, removed) -> dict``            (dict tier)
-* ``update_arrays(added, removed)``             (array tier)
+* ``update(added, removed) -> dict``            (dict view; the calendar's
+  adapter serves providers that have only this)
 * ``update_slots(added, added_slots, removed)`` (slot-handle tier)
 
-— and the tier the calendar picks must never change simulated results:
+— and the handoff the calendar takes must never change simulated results:
 identical per-rank event streams, finish times, traces and stats (modulo
-the strategy counters that *name* the tier taken).  Tier choice is forced
-by hiding the faster entry points behind wrappers, since the calendar
-discovers tiers with ``getattr``.
+the strategy counters that *name* the handoff taken).  The dict adapter is
+forced by hiding ``update_slots`` behind a wrapper, since the calendar
+discovers it with ``getattr``.  Traced runs and rate-scale windows stay on
+the slot tier.
 
 Degenerate cases ride along: slot reuse after cancels, transfer-id reuse
 (a reused slot starts at epoch 0, which no heap entry carries), and zero-rate
-stalls whose retry cycle must re-register slot handles rather than
-stranding them on the dict path.
+stalls whose retry cycle must re-register slot handles.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from repro.simulator import (
     Application,
     BackgroundTrafficInjector,
     EngineConfig,
+    LinkDegradationInjector,
     Simulator,
 )
 from repro.simulator.providers import ModelRateProvider
@@ -54,22 +53,22 @@ common_settings = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-#: strategy counters: which handoff tier served a flush (and whether heap
+#: strategy counters: which handoff served a flush (and whether heap
 #: entries bulk-merged) names the *strategy*, not the work — everything
-#: else in the stats must be identical across tiers
+#: else in the stats must be identical across handoffs
 STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
-                     "handoff_tier_arrays", "handoff_tier_dict")
+                     "handoff_tier_dict")
 
-TIERS = ("slots", "arrays", "dict")
+TIERS = ("slots", "dict")
 
 
 # ------------------------------------------------------------ tier forcing
 class DictOnly:
-    """Expose only the dict tier of a tiered provider.
+    """Expose only the dict entry point of a slot-capable provider.
 
-    The calendar probes ``update_arrays``/``update_slots`` with
-    ``getattr``, so hiding them behind a wrapper forces every flush onto
-    the dict contract while the inner provider prices identically.
+    The calendar probes ``update_slots`` with ``getattr``, so hiding it
+    behind a wrapper forces every flush through the calendar's dict
+    adapter while the inner provider prices identically.
     """
 
     def __init__(self, inner):
@@ -82,19 +81,8 @@ class DictOnly:
         self.inner.reset()
 
 
-class ArraysOnly(DictOnly):
-    """Expose the dict and array tiers, hiding ``update_slots``."""
-
-    def update_arrays(self, added, removed):
-        return self.inner.update_arrays(added, removed)
-
-
 def force_tier(tier, provider):
-    if tier == "dict":
-        return DictOnly(provider)
-    if tier == "arrays":
-        return ArraysOnly(provider)
-    return provider
+    return DictOnly(provider) if tier == "dict" else provider
 
 
 def make_provider(kind, cluster):
@@ -156,13 +144,20 @@ def build_application(spec) -> Application:
     return app
 
 
-def run_engine(spec, app, cluster, tier, scalar=False, delta=True, trace=None):
+def run_engine(spec, app, cluster, tier, scalar=False, delta=True, trace=None,
+               degradation=None):
     """One engine run; ``scalar=True`` runs on the scalar oracle calendar
-    and ``delta=False`` hides the provider's delta API."""
+    and ``delta=False`` hides the provider's delta API.  ``degradation``
+    adds a ``LinkDegradationInjector(factor=0.5)`` built from
+    ``(start, until, hosts)``."""
     injectors = ()
     if spec["loaded"]:
         injectors = (BackgroundTrafficInjector(
             rate=200.0, size=1 * MB, seed=spec["seed"], max_flows=6),)
+    if degradation is not None:
+        start, until, hosts = degradation
+        injectors += (LinkDegradationInjector(factor=0.5, start=start,
+                                              until=until, hosts=hosts),)
     provider = make_provider(spec["provider"], cluster)
     sim = Simulator(
         cluster,
@@ -186,7 +181,7 @@ class TestEngineTierEquivalence:
     @common_settings
     @given(spec=workload_strategy)
     def test_every_tier_matches_the_scalar_dict_run(self, spec):
-        """Slot, array and dict handoffs all reproduce the scalar run —
+        """Slot and dict handoffs both reproduce the scalar run —
         per-rank records, finish times and work counters — for both real
         providers, clean and under background-traffic load."""
         cluster = custom_cluster(num_nodes=3, cores_per_node=2,
@@ -197,8 +192,8 @@ class TestEngineTierEquivalence:
             outcome = run_engine(spec, app, cluster, tier)
             assert comparable(outcome) == comparable(scalar), tier
             if tier == "slots":
-                # the real providers must actually *ride* the top tier:
-                # untraced+unscaled flushes never fall through to dict
+                # the real providers must actually *ride* the slot tier:
+                # no flush falls through to the dict adapter
                 stats = outcome[2].as_dict()
                 assert stats["handoff_tier_dict"] == 0
                 if stats["flushes"]:
@@ -210,24 +205,55 @@ class TestEngineTierEquivalence:
 
     @common_settings
     @given(spec=workload_strategy)
-    def test_traced_runs_stay_on_the_dict_tier_and_agree(self, spec):
-        """A trace sink pins both calendars to the dict tier; the
-        slot-capable provider's trace is record-for-record the trace of a
-        dict-only scalar run."""
+    def test_traced_runs_stay_on_the_slot_tier_and_agree(self, spec):
+        """A trace sink leaves the slot-capable provider on the slot tier,
+        and its trace is record-for-record the trace of a dict-only scalar
+        run."""
         cluster = custom_cluster(num_nodes=3, cores_per_node=2,
                                  technology="ethernet")
         app = build_application(spec)
         scalar_sink = MemoryTraceSink()
         scalar = run_engine(spec, app, cluster, "dict", scalar=True,
                             trace=scalar_sink)
-        array_sink = MemoryTraceSink()
-        arrays = run_engine(spec, app, cluster, "slots", trace=array_sink)
-        assert arrays[:2] == scalar[:2]
-        stats = arrays[2].as_dict()
-        assert stats["handoff_tier_slots"] == 0
-        assert stats["handoff_tier_arrays"] == 0
-        assert_traces_equal(array_sink.log(), scalar_sink.log(),
+        slot_sink = MemoryTraceSink()
+        slots = run_engine(spec, app, cluster, "slots", trace=slot_sink)
+        assert slots[:2] == scalar[:2]
+        stats = slots[2].as_dict()
+        assert stats["handoff_tier_dict"] == 0
+        assert stats["handoff_tier_slots"] == stats["flushes"]
+        assert_traces_equal(slot_sink.log(), scalar_sink.log(),
                             label_a="slot-capable", label_b="dict-only")
+
+
+degradation_strategy = st.tuples(
+    st.sampled_from([0.0, 0.004, 0.02]),
+    st.sampled_from([0.01, 0.1, None]),
+    st.sampled_from([None, (0, 1)]),
+).map(lambda t: (t[0], None if t[1] is None else t[0] + t[1], t[2]))
+
+
+class TestScaledSlotBatches:
+    @common_settings
+    @given(spec=workload_strategy, degradation=degradation_strategy)
+    def test_degraded_loaded_runs_match_the_scalar_oracle(self, spec,
+                                                          degradation):
+        """Background traffic plus a link-degradation window: the slot
+        tier applies the rate scale in slot space and reproduces the scalar
+        oracle's records, finish times, trace and work counters."""
+        spec = dict(spec, loaded=True)
+        cluster = custom_cluster(num_nodes=3, cores_per_node=2,
+                                 technology="ethernet")
+        app = build_application(spec)
+        scalar_sink = MemoryTraceSink()
+        scalar = run_engine(spec, app, cluster, "slots", scalar=True,
+                            trace=scalar_sink, degradation=degradation)
+        slot_sink = MemoryTraceSink()
+        slots = run_engine(spec, app, cluster, "slots", trace=slot_sink,
+                           degradation=degradation)
+        assert comparable(slots) == comparable(scalar)
+        assert slots[2].as_dict()["handoff_tier_dict"] == 0
+        assert_traces_equal(slot_sink.log(), scalar_sink.log(),
+                            label_a="slots", label_b="scalar")
 
 
 # ------------------------------------------------- calendar-level degenerates
@@ -244,7 +270,7 @@ def tier_calendar(kind, tier, calendar_cls=TransferCalendar, wrap=None):
 
 
 def tier_matrix(kind, run, wrap=None):
-    """Run ``run(calendar)`` on all three tiers of the production calendar
+    """Run ``run(calendar)`` on both handoffs of the production calendar
     + the scalar oracle calendar and assert the outcomes identical."""
     scalar = run(tier_calendar(kind, "dict", ScalarTransferCalendar, wrap=wrap))
     for tier in TIERS:
@@ -318,39 +344,28 @@ class TestCalendarTierDegenerates:
 
 
 class StallFirstFlush:
-    """Zero every rate of the first delta on all three tiers.
+    """Zero every rate of the first delta.
 
     The inner provider tracks the flow set normally; only the first
     returned pricing is forced to zero, so every flight stalls and the
     calendar's retry cycle (departure + re-arrival of the whole stalled
-    set) must run — through the slot path when the tier allows, where it
-    has to re-register each flight's slot handle.
+    set) must run — through the slot handoff when the provider speaks it,
+    where it has to re-register each flight's slot handle.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
 
-    def _zeroing(self):
-        self.calls += 1
-        return self.calls == 1
-
     def update(self, added, removed):
-        changed = self.inner.update(added, removed)
-        if self._zeroing():
-            return {tid: 0.0 for tid in changed}
-        return changed
-
-    def update_arrays(self, added, removed):
-        tids, rates = self.inner.update_arrays(added, removed)
-        if self._zeroing():
-            rates = np.zeros_like(rates)
-        return tids, rates
+        tids, _, rates = self.update_slots(added, [-1] * len(added), removed)
+        return dict(zip(tids, rates.tolist()))
 
     def update_slots(self, added, added_slots, removed):
         tids, slots, rates = self.inner.update_slots(added, added_slots,
                                                      removed)
-        if self._zeroing():
+        self.calls += 1
+        if self.calls == 1:
             rates = np.zeros_like(rates)
         return tids, slots, rates
 
@@ -383,30 +398,30 @@ class TestZeroRateStallRetry:
         tier_matrix(kind, run, wrap=StallFirstFlush)
 
 
-class TestRateScaleTierRecovery:
+class TestRateScaleStaysOnSlots:
     @pytest.mark.parametrize("kind", PROVIDER_KINDS)
-    def test_slot_counter_recovers_after_a_scale_window(self, kind):
-        """Regression for the permanent-downgrade bug: a rate-scale window
-        skips the slot tier (here to the array tier — the real providers
-        speak both), and the reprice that clears the scale re-seeds the
-        slot handles so the counter climbs again."""
+    def test_scale_window_stays_on_the_slot_tier(self, kind):
+        """Installing, repricing under and clearing a rate scale keeps
+        every flush on the slot tier, and the scaled run matches the
+        dict-adapter and scalar oracle runs."""
+        def run(calendar):
+            for i in range(6):
+                calendar.activate(Transfer(i, i % 3, 3, 1e10), now=0.0)
+            calendar.flush(0.0)
+            calendar.set_rate_scale(lambda transfer: 0.5)
+            calendar.reprice(1.0)
+            calendar.activate(Transfer(6, 0, 3, 1e10), now=1.0)
+            calendar.flush(1.0)
+            calendar.set_rate_scale(None)
+            calendar.reprice(2.0)
+            calendar.activate(Transfer(7, 1, 3, 1e10), now=2.0)
+            calendar.flush(2.0)
+            assert calendar.active_count == 8
+            done = [t.transfer_id for t in calendar.pop_due(1e9)]
+            return done, comparable_calendar(calendar)
+
+        tier_matrix(kind, run)
         calendar = tier_calendar(kind, "slots")
-        for i in range(6):
-            calendar.activate(Transfer(i, i % 3, 3, 1e10), now=0.0)
-        calendar.flush(0.0)
-        assert calendar.stats.handoff_tier_slots == 1
-        calendar.set_rate_scale(lambda transfer: 0.5)
-        calendar.reprice(1.0)
-        calendar.activate(Transfer(6, 0, 3, 1e10), now=1.0)
-        calendar.flush(1.0)
-        # the window ran on the array tier, never dict, never slots
-        assert calendar.stats.handoff_tier_slots == 1
-        assert calendar.stats.handoff_tier_arrays == 2
+        run(calendar)
+        assert calendar.stats.handoff_tier_slots == calendar.stats.flushes == 5
         assert calendar.stats.handoff_tier_dict == 0
-        calendar.set_rate_scale(None)
-        calendar.reprice(2.0)
-        assert calendar.stats.handoff_tier_slots == 2
-        calendar.activate(Transfer(7, 1, 3, 1e10), now=2.0)
-        calendar.flush(2.0)
-        assert calendar.stats.handoff_tier_slots == 3
-        assert calendar.active_count == 8

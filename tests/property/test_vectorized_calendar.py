@@ -115,12 +115,12 @@ def run_engine(spec, app, cluster, delta, scalar, trace=None):
 
 
 #: strategy counters: the scalar oracle never bulk-merges and speaks only
-#: the dict tier, while the production calendar engages the array/slot
-#: handoff tiers when untraced, so these legitimately differ between the
-#: calendars — every *work* counter (flushes, retimed, completions,
-#: compactions, stale entries, ...) must not
+#: the dict contract, while the production calendar takes a provider's
+#: native slot handoff, so these legitimately differ between the calendars
+#: — every *work* counter (flushes, retimed, completions, compactions,
+#: stale entries, ...) must not
 STRATEGY_COUNTERS = ("bulk_merges", "bulk_entries", "handoff_tier_slots",
-                     "handoff_tier_arrays", "handoff_tier_dict")
+                     "handoff_tier_dict")
 
 
 def comparable(outcome):
