@@ -188,6 +188,7 @@ class CheckContext:
 DEFAULT_HOT_MODULES: Tuple[str, ...] = (
     "fluid.py",
     "engine.py",
+    "interference.py",
     "incremental.py",
     "sharing.py",
     "allocator.py",

@@ -2,17 +2,18 @@
 
 The trace/metrics contract of PRs 5/7: with tracing and metrics disabled,
 the simulation hot paths pay exactly one pointer test per potential
-emission — so every ``.emit(...)``, ``.sample_record(...)``, phase-timer
-use (``.timer(...)``, ``.observe(...)``, ``.due(...)``) and
-``emit_inject_apply(...)`` call in the hot modules must sit under an
-explicit ``is not None`` guard on the handle it dereferences.  The rule
+emission — so every ``.emit(...)``, ``.sample_record(...)`` and phase-timer
+use (``.timer(...)``, ``.observe(...)``, ``.due(...)``) in the hot modules
+must sit under an explicit ``is not None`` guard on the handle it
+dereferences.  The rule
 also keeps anyone from "simplifying" a guard into truthiness (``if
 trace:``) or dropping it during a refactor — the bit-exactness suites only
 catch that when the unguarded path happens to crash.
 
 Hot modules are matched by basename (``fluid.py``, ``engine.py``,
-``incremental.py``, ``sharing.py``, ``allocator.py`` by default) so the
-rule follows the files through refactors and applies to fixture twins.
+``interference.py``, ``incremental.py``, ``sharing.py``, ``allocator.py`` by
+default) so the rule follows the files through refactors and applies to
+fixture twins.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ __all__ = ["GuardedEmissionChecker"]
 #: the PhaseTimer / registry surface of repro.obs
 _GUARDED_METHODS = frozenset({"emit", "sample_record", "timer", "observe", "due"})
 
-#: plain-name helper whose first argument is the trace handle
-_GUARDED_HELPERS = frozenset({"emit_inject_apply"})
-
 
 class GuardedEmissionChecker(Checker):
     code = "RC03"
@@ -47,20 +45,12 @@ class GuardedEmissionChecker(Checker):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            receiver: Optional[ast.expr] = None
-            label = ""
             func = node.func
-            if isinstance(func, ast.Attribute) and \
-                    func.attr in _GUARDED_METHODS:
-                receiver = func.value
-                label = f".{func.attr}()"
-            elif isinstance(func, ast.Name) and func.id in _GUARDED_HELPERS \
-                    and node.args:
-                receiver = node.args[0]
-                label = f"{func.id}(...)"
-            if receiver is None:
+            if not (isinstance(func, ast.Attribute)
+                    and func.attr in _GUARDED_METHODS):
                 continue
-            recv_name = dotted_name(receiver)
+            label = f".{func.attr}()"
+            recv_name = dotted_name(func.value)
             if recv_name is None:
                 # a computed receiver (call/subscript chain) cannot be
                 # pointer-guarded at all: always a finding

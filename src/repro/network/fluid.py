@@ -135,6 +135,10 @@ foreground ones.  Two hooks exist for injectors:
   transfer through ``provider.reset()`` + a full re-add — the re-rate hook
   for capacity changes that the delta contract cannot express.
 
+Injectors reach both hooks through one
+:class:`~repro.simulator.interference.InjectionState` per run, the surface
+:class:`FluidTransferSimulator` and the execution engine share.
+
 With no injectors installed (no scale hook, no reprice calls) every code
 path is bit-for-bit identical to the pre-injection calendar.
 
@@ -252,7 +256,7 @@ from typing import (
 
 from .._numpy import np
 from ..exceptions import SimulationError
-from ..trace.records import SnapshotBase, TraceRecord, emit_inject_apply
+from ..trace.records import SnapshotBase, TraceRecord
 from ..trace.sinks import TraceSink, active_sink
 
 __all__ = [
@@ -264,7 +268,6 @@ __all__ = [
     "CalendarStatsSnapshot",
     "SlotMap",
     "TransferCalendar",
-    "RateScaleRegistry",
     "FluidTransferSimulator",
 ]
 
@@ -1258,118 +1261,6 @@ class TransferCalendar:
         return done
 
 
-class RateScaleRegistry:
-    """Handle-keyed rate-scale bookkeeping shared by the injection surfaces.
-
-    Both injection states (the engine's and the fluid simulator's) delegate
-    ``add_rate_scale``/``remove_rate_scale`` here: scales are stored under
-    opaque handles and their composition (see
-    :func:`repro.simulator.interference.compose_rate_scales`) is installed
-    on the calendar after every change — ``None`` (the bit-exact unscaled
-    path) once the last scale is removed.  With a trace sink attached, each
-    change emits its ``inject.rate_scale_on``/``_off`` record.
-    """
-
-    def __init__(self, calendar: TransferCalendar,
-                 trace: Optional[TraceSink] = None) -> None:
-        self._calendar = calendar
-        self._trace = active_sink(trace)
-        self._scales: Dict[int, Callable[[Transfer], float]] = {}
-        self._seq = itertools.count()
-
-    def add(self, scale: Callable[[Transfer], float], now: float,
-            info: Optional[Dict] = None) -> int:
-        handle = next(self._seq)
-        self._scales[handle] = scale
-        self._install()
-        if self._trace is not None:
-            self._trace.emit(TraceRecord(now, "inject.rate_scale_on",
-                                         handle, dict(info or {})))
-        return handle
-
-    def remove(self, handle: Optional[int], now: float) -> None:
-        if self._trace is not None and handle is not None:
-            self._trace.emit(TraceRecord(now, "inject.rate_scale_off",
-                                         handle, {}))
-        self._scales.pop(handle, None)
-        self._install()
-
-    def _install(self) -> None:
-        # local import: interference lives above this module (it imports
-        # Transfer from here), so the composition helper resolves lazily at
-        # the first injector apply
-        from ..simulator.interference import compose_rate_scales
-
-        self._calendar.set_rate_scale(
-            compose_rate_scales(tuple(self._scales.values()))
-        )
-
-
-class _FluidInjectionState:
-    """Injection surface of one :meth:`FluidTransferSimulator.run`.
-
-    Implements the informal ``InjectionState`` protocol of
-    :mod:`repro.simulator.interference` for a pure transfer simulation:
-    background flows ride the same calendar (and thus the same provider
-    delta path) as the foreground transfers; compute scaling is a no-op
-    because nothing computes here.
-    """
-
-    def __init__(self, calendar: TransferCalendar, hosts: Tuple[int, ...],
-                 trace: Optional[TraceSink] = None) -> None:
-        self.now = 0.0
-        self.hosts = hosts
-        self.background: set = set()
-        #: background flows started / injector firings (event-budget input)
-        self.injected = 0
-        self.fired = 0
-        self._calendar = calendar
-        self._flow_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(calendar, trace)
-        self._trace = active_sink(trace)
-
-    # ------------------------------------------------------------- flows
-    def start_flow(self, src: int, dst: int, size: float,
-                   owner: str = "background") -> Hashable:
-        tid = f"{owner}#{next(self._flow_seq)}"
-        if self._trace is not None:
-            self._trace.emit(TraceRecord(self.now, "inject.flow_start", tid, {
-                "src": src, "dst": dst, "size": float(size), "owner": owner,
-            }))
-        transfer = Transfer(transfer_id=tid, src=src, dst=dst, size=float(size),
-                            start_time=self.now)
-        self._calendar.activate(transfer, self.now)
-        self.background.add(tid)
-        self.injected += 1
-        return tid
-
-    def end_flow(self, tid: Hashable) -> None:
-        if tid in self.background and self._calendar.is_active(tid):
-            if self._trace is not None:
-                self._trace.emit(TraceRecord(self.now, "inject.flow_end", tid, {}))
-            self._calendar.cancel(tid, self.now)
-        self.background.discard(tid)
-
-    # ------------------------------------------------------------- scaling
-    def add_rate_scale(self, scale: Callable[[Transfer], float],
-                       info: Optional[Dict] = None) -> int:
-        return self._rate_scales.add(scale, self.now, info)
-
-    def remove_rate_scale(self, handle: Optional[int]) -> None:
-        self._rate_scales.remove(handle, self.now)
-
-    def add_compute_scale(self, scale, info: Optional[Dict] = None) -> Optional[int]:
-        return None  # nothing computes in a pure transfer simulation
-
-    def remove_compute_scale(self, handle) -> None:
-        pass
-
-    def reprice(self) -> None:
-        if self._trace is not None:
-            self._trace.emit(TraceRecord(self.now, "inject.reprice", None, {}))
-        self._calendar.reprice(self.now)
-
-
 class FluidTransferSimulator:
     """Event-calendar fluid simulation of a set of transfers.
 
@@ -1390,7 +1281,8 @@ class FluidTransferSimulator:
     trace:
         Optional :class:`repro.trace.TraceSink`; the calendar emits its
         ``calendar.*`` records through it, the loop adds ``step`` boundaries
-        and ``inject.*`` events.  ``None`` (or a disabled sink) is the
+        and the run's :class:`~repro.simulator.interference.InjectionState`
+        the ``inject.*`` events.  ``None`` (or a disabled sink) is the
         bit-exact untraced path.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  The calendar times its
@@ -1438,16 +1330,14 @@ class FluidTransferSimulator:
             if callable(register):
                 register(self.metrics)
 
-        state: Optional[_FluidInjectionState] = None
-        inject_heap: List[Tuple[float, int]] = []
-        if self.injectors:
-            hosts = tuple(sorted({h for t in transfers for h in (t.src, t.dst)}))
-            state = _FluidInjectionState(calendar, hosts, trace=trace)
-            for index, injector in enumerate(self.injectors):
-                injector.reset()
-                when = injector.next_event(0.0)
-                if when is not None:
-                    heapq.heappush(inject_heap, (max(0.0, when), index))
+        # local import: interference lives above this module (it imports
+        # Transfer from here)
+        from ..simulator.interference import InjectionState
+
+        hosts = tuple(sorted({h for t in transfers for h in (t.src, t.dst)}))
+        state = InjectionState(calendar, hosts, self.injectors, trace)
+        inject_heap = state.first_events()
+        heapq.heapify(inject_heap)
 
         # transfers waiting for their (latency-shifted) start time
         pending: List[Tuple[float, int, Transfer]] = []
@@ -1460,13 +1350,9 @@ class FluidTransferSimulator:
         guard = 0
         steps = 0
 
-        def foreground_active() -> int:
-            background = len(state.background) if state is not None else 0
-            return calendar.active_count - background
-
-        while pending or foreground_active() > 0:
+        while pending or calendar.active_count > len(state.background):
             guard += 1
-            injected = state.injected + state.fired if state is not None else 0
+            injected = state.flows_started + state.fired
             if guard > 10 * (len(transfers) + injected) + 10:
                 raise SimulationError("fluid simulation exceeded its event budget")
 
@@ -1485,13 +1371,7 @@ class FluidTransferSimulator:
             # rate scales, force reprices)
             while inject_heap and inject_heap[0][0] <= now + 1e-15:
                 _, index = heapq.heappop(inject_heap)
-                injector = self.injectors[index]
-                state.now = now
-                if trace is not None:
-                    emit_inject_apply(trace, now, injector, index)
-                injector.apply(state)
-                state.fired += 1
-                when = injector.next_event(now)
+                when = state.fire(index, now)
                 if when is not None:
                     heapq.heappush(inject_heap, (max(when, now), index))
 
@@ -1530,7 +1410,7 @@ class FluidTransferSimulator:
                 trace.emit(TraceRecord(now, "step", "fluid", {"step": steps}))
 
             for transfer in calendar.pop_due(now):
-                if state is not None and transfer.transfer_id in state.background:
+                if transfer.transfer_id in state.background:
                     state.background.discard(transfer.transfer_id)
                     continue
                 results[transfer.transfer_id] = TransferResult(

@@ -50,7 +50,8 @@ flows join the calendar (and therefore the provider's delta path) like
 foreground transfers — they contend for bandwidth in the model and in the
 emulator — but are excluded from message matching, task completion and the
 report; compute-rate and link-capacity scaling windows are applied through
-the injection state (``_EngineInjectionState``).  With no injectors
+the run's :class:`~repro.simulator.interference.InjectionState`, the
+surface the fluid simulator shares.  With no injectors
 configured every code path is bit-exact with the pre-injection engine
 (property-tested in ``tests/property/test_interference_properties.py``).
 
@@ -73,18 +74,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..cluster.placement import Placement
 from ..exceptions import DeadlockError, SimulationError, TraceError
-from ..network.fluid import (
-    CalendarStatsSnapshot,
-    RateScaleRegistry,
-    Transfer,
-    TransferCalendar,
-)
+from ..network.fluid import CalendarStatsSnapshot, Transfer, TransferCalendar
 from ..network.technologies import NetworkTechnology, get_technology
-from ..trace.records import SnapshotBase, TraceRecord, emit_inject_apply
+from ..trace.records import SnapshotBase, TraceRecord
 from ..trace.sinks import TraceSink, active_sink
 from ..units import KiB
 from .application import Application
 from .events import ANY_SOURCE, BarrierEvent, ComputeEvent, Event, RecvEvent, SendEvent
+from .interference import InjectionState
 from .report import EventRecord, SimulationReport
 
 __all__ = [
@@ -351,89 +348,6 @@ _READY = 1
 _INJECT = 2
 
 
-class _EngineInjectionState:
-    """Injection surface of one :meth:`ExecutionEngine.run`.
-
-    Implements the informal ``InjectionState`` protocol of
-    :mod:`repro.simulator.interference` over the engine's calendar and task
-    set: background flows enter the shared :class:`TransferCalendar` (and
-    thus the provider's delta path) but never touch the match queues or the
-    task programs.
-    """
-
-    def __init__(self, engine: "ExecutionEngine") -> None:
-        self._engine = engine
-        self._flow_seq = itertools.count()
-        self._scale_seq = itertools.count()
-        self._rate_scales = RateScaleRegistry(engine._calendar, engine._trace)
-        cluster = engine.placement.cluster
-        if cluster is not None:
-            self.hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))
-        else:
-            self.hosts = tuple(sorted(
-                {engine.placement.node(rank) for rank in range(engine.num_tasks)}
-            ))
-
-    @property
-    def now(self) -> float:
-        return self._engine.now
-
-    # ------------------------------------------------------------- flows
-    def start_flow(self, src: int, dst: int, size: float,
-                   owner: str = "background") -> int:
-        engine = self._engine
-        tid = f"{owner}#{next(self._flow_seq)}"
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.flow_start", tid, {
-                "src": src, "dst": dst, "size": float(size), "owner": owner,
-            }))
-        transfer = Transfer(transfer_id=tid, src=src, dst=dst, size=float(size),
-                            start_time=engine.now)
-        engine._calendar.activate(transfer, engine.now)
-        engine._background[tid] = transfer
-        engine.stats.background_flows += 1
-        return tid
-
-    def end_flow(self, tid) -> None:
-        engine = self._engine
-        if tid in engine._background and engine._calendar.is_active(tid):
-            if engine._trace is not None:
-                engine._trace.emit(
-                    TraceRecord(engine.now, "inject.flow_end", tid, {})
-                )
-            engine._calendar.cancel(tid, engine.now)
-        engine._background.pop(tid, None)
-
-    # ------------------------------------------------------------- scaling
-    def add_rate_scale(self, scale, info=None) -> int:
-        return self._rate_scales.add(scale, self._engine.now, info)
-
-    def remove_rate_scale(self, handle) -> None:
-        self._rate_scales.remove(handle, self._engine.now)
-
-    def add_compute_scale(self, scale, info=None) -> int:
-        handle = next(self._scale_seq)
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.compute_scale_on",
-                                           handle, dict(info or {})))
-        engine._compute_scales[handle] = scale
-        return handle
-
-    def remove_compute_scale(self, handle) -> None:
-        engine = self._engine
-        if engine._trace is not None and handle is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.compute_scale_off",
-                                           handle, {}))
-        engine._compute_scales.pop(handle, None)
-
-    def reprice(self) -> None:
-        engine = self._engine
-        if engine._trace is not None:
-            engine._trace.emit(TraceRecord(engine.now, "inject.reprice", None, {}))
-        engine._calendar.reprice(engine.now)
-
-
 class ExecutionEngine:
     """Executes task programs over a fluid transfer layer."""
 
@@ -481,11 +395,8 @@ class ExecutionEngine:
         self.now = 0.0
         self._transfer_counter = itertools.count()
         self.in_flight: Dict[int, _InFlight] = {}
-        #: injected background flows currently alive (excluded from matching)
-        self._background: Dict[object, Transfer] = {}
-        #: active compute-rate scales (handle -> node -> factor), injector-owned
-        self._compute_scales: Dict[int, object] = {}
-        self._injection_state: Optional[_EngineInjectionState] = None
+        #: the run's injectors, background flows and scales (set by run())
+        self._injection: Optional[InjectionState] = None
         self._sends = _MatchQueue()      # rendezvous sends waiting for a recv
         self._recvs = _MatchQueue()      # posted recvs waiting for a send
         self._arrived = _MatchQueue()    # eager messages waiting for a recv
@@ -543,18 +454,6 @@ class ExecutionEngine:
         assert event.flops is not None
         return float(event.flops) / (self._flops_per_core() * self.config.compute_efficiency)
 
-    def _compute_scale(self, rank: int) -> float:
-        """Product of the active injector compute-rate scales at this node."""
-        node = self._node_of(rank)
-        factor = 1.0
-        for scale in self._compute_scales.values():
-            factor *= scale(node)
-        if factor <= 0.0:
-            raise SimulationError(
-                f"compute-rate scale at node {node} is not positive ({factor})"
-            )
-        return factor
-
     def _base_transfer_time(self, size: int, intra_node: bool) -> float:
         if intra_node:
             return size / self.technology.memory_bandwidth
@@ -604,10 +503,11 @@ class ExecutionEngine:
             }))
         if isinstance(event, ComputeEvent):
             duration = self._compute_duration(event)
-            if self._compute_scales:
+            injection = self._injection
+            if injection.compute_scales:
                 # slowdown windows scale the compute *rate* of events that
                 # start while the window is open (see NodeSlowdownInjector)
-                duration = duration / self._compute_scale(task.rank)
+                duration = duration / injection.compute_scale(self._node_of(task.rank))
             task.status = _Status.COMPUTING
             self._computing += 1
             task.compute_until = self.now + duration
@@ -948,22 +848,18 @@ class ExecutionEngine:
             self._mark_ready(task)
             task.resume_value = {"kind": "compute"}
 
+        background = self._injection.background
         foreground: List[Transfer] = []
         for transfer in finished:
-            if transfer.transfer_id in self._background:
-                del self._background[transfer.transfer_id]
+            if transfer.transfer_id in background:
+                background.discard(transfer.transfer_id)
             else:
                 foreground.append(transfer)
         for transfer in sorted(foreground, key=lambda t: t.transfer_id):
             self._complete_transfer(transfer.transfer_id)
 
         for index in inject_indices:
-            injector = self.config.injectors[index]
-            if self._trace is not None:
-                emit_inject_apply(self._trace, self.now, injector, index)
-            injector.apply(self._injection_state)
-            self.stats.injected_events += 1
-            when = injector.next_event(self.now)
+            when = self._injection.fire(index, self.now)
             if when is not None:
                 heapq.heappush(
                     self._timeline,
@@ -978,9 +874,8 @@ class ExecutionEngine:
         by_status = ", ".join(f"{status}={count}" for status, count in sorted(counts.items()))
         stalled = self._calendar.stalled_ids() if self._calendar else ()
         stall_note = f"; zero-rated transfers: {list(stalled)!r}" if stalled else ""
-        background_note = (
-            f"; background flows: {len(self._background)}" if self._background else ""
-        )
+        background = self._injection.background
+        background_note = f"; background flows: {len(background)}" if background else ""
         return (
             f"execution engine exceeded its iteration budget "
             f"({max_iterations} iterations) at t={self.now:.6f}s; "
@@ -1003,50 +898,42 @@ class ExecutionEngine:
             trace=self._trace,
             metrics=self._metrics,
         )
+        cluster = self.placement.cluster
+        if cluster is not None:
+            hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))
+        else:
+            hosts = tuple(sorted({self._node_of(rank) for rank in range(self.num_tasks)}))
+        injection = self._injection = InjectionState(
+            self._calendar, hosts, self.config.injectors, self._trace)
         if self._metrics is not None:
             metrics = self._metrics
             stats = self.stats
             metrics.register_source("engine", lambda: {
                 "iterations": stats.iterations,
                 "steps": stats.steps,
-                "injected_events": stats.injected_events,
-                "background_flows": stats.background_flows,
+                "injected_events": injection.fired,
+                "background_flows": injection.flows_started,
             })
             metrics.register_source("calendar", self._calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)
             if callable(register):
                 register(metrics)
-        self._background.clear()
-        self._compute_scales.clear()
-        if self.config.injectors:
-            self._injection_state = _EngineInjectionState(self)
-            for index, injector in enumerate(self.config.injectors):
-                injector.reset()
-                when = injector.next_event(0.0)
-                if when is not None:
-                    heapq.heappush(
-                        self._timeline,
-                        (max(0.0, when), next(self._timeline_seq), _INJECT, index),
-                    )
-            # events scheduled at t=0 (e.g. windows opening at the origin)
-            # take effect before the first ready-task sweep, so computes and
-            # sends starting at t=0 already see the installed scales
-            while self._timeline and self._timeline[0][0] <= self.EPSILON:
-                _, _, _, index = heapq.heappop(self._timeline)
-                injector = self.config.injectors[index]
-                if self._trace is not None:
-                    emit_inject_apply(self._trace, self.now, injector, index)
-                injector.apply(self._injection_state)
-                self.stats.injected_events += 1
-                when = injector.next_event(0.0)
-                if when is not None:
-                    # clamp follow-ups just past the origin so this pre-loop
-                    # terminates; they fire on the first regular step
-                    heapq.heappush(
-                        self._timeline,
-                        (max(when, 2 * self.EPSILON),
-                         next(self._timeline_seq), _INJECT, index),
-                    )
+        for when, index in injection.first_events():
+            heapq.heappush(self._timeline, (when, next(self._timeline_seq), _INJECT, index))
+        # events scheduled at t=0 (e.g. windows opening at the origin) take
+        # effect before the first ready-task sweep, so computes and sends
+        # starting at t=0 already see the installed scales
+        while self._timeline and self._timeline[0][0] <= self.EPSILON:
+            _, _, _, index = heapq.heappop(self._timeline)
+            when = injection.fire(index, self.now)
+            if when is not None:
+                # clamp follow-ups just past the origin so this pre-loop
+                # terminates; they fire on the first regular step
+                heapq.heappush(
+                    self._timeline,
+                    (max(when, 2 * self.EPSILON),
+                     next(self._timeline_seq), _INJECT, index),
+                )
         max_iterations = self.config.iteration_factor * (self._num_events_hint + self.num_tasks) + 100
         iterations = 0
 
@@ -1055,7 +942,7 @@ class ExecutionEngine:
             self.stats.iterations = iterations
             # injector events consume iterations too: grow the budget with
             # the injected work so loaded runs keep the same safety margin
-            allowed = max_iterations + 20 * self.stats.injected_events
+            allowed = max_iterations + 20 * injection.fired
             if iterations > allowed:
                 raise SimulationError(self._budget_diagnostics(allowed))
 
@@ -1086,6 +973,8 @@ class ExecutionEngine:
                     self._trace.emit(self._metrics.sample_record(self.now))
             self._complete_due_events()
 
+        self.stats.injected_events = injection.fired
+        self.stats.background_flows = injection.flows_started
         self.stats.calendar = self._calendar.stats.snapshot()
         report = SimulationReport(
             application_name=self.application_name,

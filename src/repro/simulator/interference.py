@@ -28,9 +28,9 @@ simulation — with no events fired the engine and the fluid simulator are
 bit-for-bit identical to an injector-free run (property-tested in
 ``tests/property/test_interference_properties.py``).
 
-``apply`` receives an **injection state** — the surface the simulation loops
-expose (``_EngineInjectionState`` in :mod:`repro.simulator.engine`,
-``_FluidInjectionState`` in :mod:`repro.network.fluid`):
+``apply`` receives an **injection state** — one :class:`InjectionState` per
+run, the single surface both simulation loops (the execution engine and the
+fluid transfer simulator) hand their injectors:
 
 * ``state.now`` — the simulation clock;
 * ``state.hosts`` — the host/node universe of the run;
@@ -49,8 +49,8 @@ expose (``_EngineInjectionState`` in :mod:`repro.simulator.engine`,
 * ``state.add_compute_scale(fn, info=None)`` /
   ``state.remove_compute_scale(handle)`` — install a per-node compute-rate
   multiplier, applied to compute events that *start* while the scale is
-  active (a no-op in the pure fluid simulator); ``info`` as above, rebuilt
-  via :func:`make_compute_scale`;
+  active (the pure fluid simulator records the window but has nothing to
+  slow); ``info`` as above, rebuilt via :func:`make_compute_scale`;
 * ``state.reprice()`` — force a full re-rate of the in-flight set through
   ``provider.reset()`` + re-add, for effects the delta contract cannot
   express.
@@ -62,11 +62,14 @@ tuple always reproduces the same loaded run.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import SimulationError
-from ..network.fluid import Transfer
+from ..network.fluid import Transfer, TransferCalendar
+from ..trace.records import TraceRecord
+from ..trace.sinks import TraceSink
 
 __all__ = [
     "InjectionState",
@@ -129,9 +132,9 @@ def compose_rate_scales(
 ) -> Optional[Callable[[Transfer], float]]:
     """Fold per-transfer rate multipliers into one (``None`` when empty).
 
-    The shared composition rule of every injection surface (engine and
-    fluid): no scales means the bit-exact unscaled path, one scale is
-    installed as-is, several multiply.
+    The composition rule :class:`InjectionState` installs on the calendar:
+    no scales means the bit-exact unscaled path, one scale is installed
+    as-is, several multiply.
     """
     if not scales:
         return None
@@ -148,30 +151,138 @@ def compose_rate_scales(
     return product
 
 
-class InjectionState(Protocol):
-    """What a simulation loop exposes to :meth:`Injector.apply` (see module doc)."""
+class InjectionState:
+    """The injection surface of one simulation run (see module doc).
 
-    now: float
-    hosts: Tuple[int, ...]
+    One instance per :meth:`ExecutionEngine.run
+    <repro.simulator.engine.ExecutionEngine.run>` or
+    :meth:`FluidTransferSimulator.run
+    <repro.network.fluid.FluidTransferSimulator.run>` holds all of the run's
+    injection state.  The loops keep their own schedule heaps and ordering
+    rules: they seed them from :meth:`first_events` and call :meth:`fire`
+    for every due event.  Background flows enter the shared calendar (and so
+    the provider's delta path) like foreground transfers; the loops keep
+    them out of message matching, task completion and the results through
+    :attr:`background`.  ``trace`` is an active sink or ``None``.
+    """
 
+    def __init__(self, calendar: TransferCalendar, hosts: Tuple[int, ...],
+                 injectors: Sequence = (),
+                 trace: Optional[TraceSink] = None) -> None:
+        self.now = 0.0
+        self.hosts = hosts
+        self.injectors = tuple(injectors)
+        #: live background-flow ids
+        self.background: Set[Hashable] = set()
+        #: background flows started / injector firings of the run
+        self.flows_started = 0
+        self.fired = 0
+        #: active per-node compute-rate multipliers, by handle
+        self.compute_scales: Dict[int, Callable[[int], float]] = {}
+        self._rate_scales: Dict[int, Callable[[Transfer], float]] = {}
+        self._calendar = calendar
+        self._trace = trace
+        self._flow_seq = itertools.count()
+        self._rate_seq = itertools.count()
+        self._compute_seq = itertools.count()
+
+    # ------------------------------------------------------------- schedule
+    def first_events(self) -> List[Tuple[float, int]]:
+        """Reset every injector; return each live one's first ``(time, index)``."""
+        events = []
+        for index, injector in enumerate(self.injectors):
+            injector.reset()
+            when = injector.next_event(0.0)
+            if when is not None:
+                events.append((max(0.0, when), index))
+        return events
+
+    def fire(self, index: int, now: float) -> Optional[float]:
+        """Apply injector ``index`` at ``now``; return its next event time."""
+        self.now = now
+        injector = self.injectors[index]
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(
+                now, "inject.apply",
+                getattr(injector, "name", type(injector).__name__),
+                {"index": index},
+            ))
+        injector.apply(self)
+        self.fired += 1
+        return injector.next_event(now)
+
+    # ---------------------------------------------------------------- flows
     def start_flow(self, src: int, dst: int, size: float,
-                   owner: str = "background") -> Hashable: ...  # pragma: no cover
+                   owner: str = "background") -> Hashable:
+        tid = f"{owner}#{next(self._flow_seq)}"
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.flow_start", tid, {
+                "src": src, "dst": dst, "size": float(size), "owner": owner,
+            }))
+        transfer = Transfer(transfer_id=tid, src=src, dst=dst, size=float(size),
+                            start_time=self.now)
+        self._calendar.activate(transfer, self.now)
+        self.background.add(tid)
+        self.flows_started += 1
+        return tid
 
-    def end_flow(self, tid: Hashable) -> None: ...  # pragma: no cover
+    def end_flow(self, tid: Hashable) -> None:
+        if tid in self.background and self._calendar.is_active(tid):
+            if self._trace is not None:
+                self._trace.emit(TraceRecord(self.now, "inject.flow_end", tid, {}))
+            self._calendar.cancel(tid, self.now)
+        self.background.discard(tid)
 
-    def add_rate_scale(
-        self, scale: Callable[[Transfer], float], info: Optional[dict] = None
-    ) -> Optional[int]: ...  # pragma: no cover
+    # -------------------------------------------------------------- scaling
+    def add_rate_scale(self, scale: Callable[[Transfer], float],
+                       info: Optional[dict] = None) -> int:
+        handle = next(self._rate_seq)
+        self._rate_scales[handle] = scale
+        self._calendar.set_rate_scale(
+            compose_rate_scales(tuple(self._rate_scales.values())))
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.rate_scale_on",
+                                         handle, dict(info or {})))
+        return handle
 
-    def remove_rate_scale(self, handle: Optional[int]) -> None: ...  # pragma: no cover
+    def remove_rate_scale(self, handle: Optional[int]) -> None:
+        if self._trace is not None and handle is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.rate_scale_off",
+                                         handle, {}))
+        self._rate_scales.pop(handle, None)
+        self._calendar.set_rate_scale(
+            compose_rate_scales(tuple(self._rate_scales.values())))
 
-    def add_compute_scale(
-        self, scale: Callable[[int], float], info: Optional[dict] = None
-    ) -> Optional[int]: ...  # pragma: no cover
+    def add_compute_scale(self, scale: Callable[[int], float],
+                          info: Optional[dict] = None) -> int:
+        handle = next(self._compute_seq)
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.compute_scale_on",
+                                         handle, dict(info or {})))
+        self.compute_scales[handle] = scale
+        return handle
 
-    def remove_compute_scale(self, handle: Optional[int]) -> None: ...  # pragma: no cover
+    def remove_compute_scale(self, handle: Optional[int]) -> None:
+        if self._trace is not None and handle is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.compute_scale_off",
+                                         handle, {}))
+        self.compute_scales.pop(handle, None)
 
-    def reprice(self) -> None: ...  # pragma: no cover
+    def compute_scale(self, node: int) -> float:
+        """Product of the active compute-rate scales at ``node``."""
+        factor = 1.0
+        for scale in self.compute_scales.values():
+            factor *= scale(node)
+        if factor <= 0.0:
+            raise SimulationError(
+                f"compute-rate scale at node {node} is not positive ({factor})"
+            )
+        return factor
+
+    def reprice(self) -> None:
+        if self._trace is not None:
+            self._trace.emit(TraceRecord(self.now, "inject.reprice", None, {}))
+        self._calendar.reprice(self.now)
 
 
 class Injector:
@@ -440,8 +551,9 @@ class NodeSlowdownInjector(_WindowInjector):
     While the window is open, compute events *starting* on an affected node
     run at ``factor`` × their nominal rate (``factor=0.5`` doubles their
     duration) — thermal throttling, a co-scheduled CPU hog, a failing fan.
-    Transfers are untouched, so no reprice is needed; the pure fluid
-    simulator ignores this injector (nothing computes there).
+    Transfers are untouched, so no reprice is needed.  The pure fluid
+    simulator records the window (``inject.compute_scale_on``/``_off``, so
+    replay sees it) but nothing computes there to slow.
     """
 
     def __init__(self, factor: float, start: float = 0.0,

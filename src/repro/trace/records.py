@@ -38,7 +38,6 @@ __all__ = [
     "TraceRecord",
     "TraceLog",
     "SnapshotBase",
-    "emit_inject_apply",
 ]
 
 #: the container format tag written to JSONL headers
@@ -115,18 +114,6 @@ class TraceRecord:
             raise TraceError(f"trace record data must be a mapping, got {data!r}")
         return cls(time=time, kind=str(raw["kind"]), subject=raw.get("subject"),
                    data=data)
-
-
-def emit_inject_apply(trace: "TraceSink", now: float, injector: object,
-                      index: int) -> None:
-    """Emit the ``inject.apply`` record for a firing injector.
-
-    The one emission shape shared by the engine pre-loop, the engine main
-    loop and the fluid loop — callers guard with ``if trace is not None``.
-    """
-    trace.emit(TraceRecord(now, "inject.apply",
-                           getattr(injector, "name", type(injector).__name__),
-                           {"index": index}))
 
 
 class TraceLog:

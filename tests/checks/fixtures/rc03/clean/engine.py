@@ -1,6 +1,6 @@
 """Clean twin: every emission is dominated by an ``is not None`` test."""
 
-from repro.trace.records import TraceRecord, emit_inject_apply
+from repro.trace.records import TraceRecord
 
 
 def run_guarded(trace, now):
@@ -17,11 +17,6 @@ def run_early_return(trace, now):
 def run_boolop(trace, now, wanted):
     if trace is not None and wanted:
         trace.emit(TraceRecord(now, "step", None, {}))
-
-
-def run_helper(trace, now, injector):
-    if trace is not None:
-        emit_inject_apply(trace, now, injector, 0)
 
 
 def run_timer(metrics):
