@@ -433,7 +433,9 @@ class IncrementalPenaltyEngine:
             repriced.update(self._members[comp_id])
         self._price_dirty()
         self._fresh_intra.clear()
-        names = list(repriced)
+        # sorted, not set order: the order sets the calendar's retime and
+        # heap tie-break order, which must not depend on PYTHONHASHSEED
+        names = sorted(repriced)
         handles_of = self._handles
         handles = [handles_of[name] for name in names]
         penalties = self._penalties

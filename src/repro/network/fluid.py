@@ -239,7 +239,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from time import perf_counter
 from typing import (
@@ -450,23 +450,13 @@ class CalendarStats:
     handoff_tier_dict: int = 0
 
     def freeze(self) -> CalendarStatsSnapshot:
-        """Typed immutable snapshot of the current counter values."""
+        """Typed immutable snapshot of the current counter values.
+
+        Built from this class's fields, so a counter missing from the
+        snapshot class fails here instead of silently going unreported.
+        """
         return CalendarStatsSnapshot(
-            flushes=self.flushes,
-            rate_updates=self.rate_updates,
-            retimed=self.retimed,
-            activations=self.activations,
-            completions=self.completions,
-            stale_entries=self.stale_entries,
-            active_at_flush=self.active_at_flush,
-            compactions=self.compactions,
-            cancelled=self.cancelled,
-            stall_retries=self.stall_retries,
-            bulk_merges=self.bulk_merges,
-            bulk_entries=self.bulk_entries,
-            handoff_tier_slots=self.handoff_tier_slots,
-            handoff_tier_arrays=self.handoff_tier_arrays,
-            handoff_tier_dict=self.handoff_tier_dict,
+            **{spec.name: getattr(self, spec.name) for spec in fields(self)}
         )
 
     def snapshot(self) -> Dict[str, int]:

@@ -49,8 +49,9 @@ two paths cannot disagree.
 Downstream, :class:`~repro.network.allocator.EmulatorRateProvider` feeds
 these rates into the calendar's delta handoff; because the solver is
 bit-exact across its own paths, the provider can hand the changed-value
-diff back dict-, array- or slot-aligned (see ``docs/delta-handoff.md``)
-without the tier choice ever leaking into simulated results.
+diff back slot-aligned (``update_slots``) or as the dict view ``update()``
+builds over it (see ``docs/delta-handoff.md``) without the choice ever
+leaking into simulated results.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -180,17 +180,14 @@ class EngineLoopStats:
     calendar: Dict[str, int] = field(default_factory=dict)
 
     def freeze(self) -> EngineStatsSnapshot:
-        """Typed immutable snapshot (the :attr:`Simulator.last_engine_stats` type)."""
-        return EngineStatsSnapshot(
-            iterations=self.iterations,
-            steps=self.steps,
-            injected_events=self.injected_events,
-            background_flows=self.background_flows,
-            timeline_bulk_merges=self.timeline_bulk_merges,
-            timeline_bulk_drains=self.timeline_bulk_drains,
-            timeline_bulk_drained=self.timeline_bulk_drained,
-            calendar=CalendarStatsSnapshot(**self.calendar),
-        )
+        """Typed immutable snapshot (the :attr:`Simulator.last_engine_stats` type).
+
+        Built from this class's fields, like :meth:`CalendarStats.freeze
+        <repro.network.fluid.CalendarStats.freeze>`.
+        """
+        values = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        values["calendar"] = CalendarStatsSnapshot(**self.calendar)
+        return EngineStatsSnapshot(**values)
 
     def snapshot(self) -> Dict[str, int]:
         """Flat dict view (compatibility shim over :meth:`freeze`)."""

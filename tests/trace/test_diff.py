@@ -130,3 +130,35 @@ class TestDiffBasics:
         assert diff.line == 7  # header + 5 shared records precede it
         assert diff.fields == ("t",)
         assert diff_trace_files(path_a, path_a).identical
+
+
+class TestHashSeedIndependence:
+    def test_loaded_trace_is_identical_under_two_hash_seeds(self, tmp_path):
+        """The CI trace-smoke run records byte-identical JSONL whatever
+        ``PYTHONHASHSEED`` is: no set iteration order leaks into the
+        calendar's re-timing order."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src_root = str(Path(repro.__file__).parents[1])
+        paths = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"seed-{seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "record",
+                 "--workload", "ring-allgather", "--hosts", "4",
+                 "--bg-rate", "120", "--bg-size", "1M", "--bg-max-flows", "8",
+                 "--out", str(path)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            paths.append(path)
+        diff = diff_trace_files(*paths)
+        assert diff.identical, format_trace_diff(diff)
+        assert paths[0].read_bytes() == paths[1].read_bytes()

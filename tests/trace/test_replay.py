@@ -94,7 +94,15 @@ class TestReplayBitExact:
         second, _ = run_engine(app, (replay,))  # engine calls reset() itself
         assert first.records == second.records == loaded_report.records
 
-    def test_fluid_simulator_replay(self):
+    @pytest.mark.parametrize("injector", [
+        BackgroundTrafficInjector(rate=400.0, size=1 * MB, seed=5, max_flows=5),
+        LinkDegradationInjector(factor=0.5, start=0.001, until=0.004,
+                                hosts=[0, 1]),
+        NodeSlowdownInjector(factor=0.5, start=0.0, until=0.003),
+    ], ids=["background", "link-degradation", "node-slowdown"])
+    def test_fluid_simulator_replay(self, injector):
+        """Fluid replay rebuilds flows, rate-scale windows (handles and
+        reprices) and compute-scale windows through the same surface."""
         transfers = [
             Transfer(i, src=i % 3, dst=(i + 1) % 3, size=300_000.0,
                      start_time=0.001 * i)
@@ -106,17 +114,24 @@ class TestReplayBitExact:
             topology = CrossbarTopology(num_hosts=3, technology=spec.technology)
             return EmulatorRateProvider(spec.technology, topology)
 
+        def injected(sink):
+            # inject.apply names the firing injector, which replay replaces
+            return [record for record in sink.records
+                    if record.kind.startswith("inject.")
+                    and record.kind != "inject.apply"]
+
         sink = MemoryTraceSink()
         loaded = FluidTransferSimulator(
-            provider(),
-            injectors=(BackgroundTrafficInjector(rate=400.0, size=1 * MB,
-                                                 seed=5, max_flows=5),),
-            trace=sink,
+            provider(), injectors=(injector,), trace=sink,
         ).run(transfers)
+        replay = TraceReplayInjector(sink.records)
+        assert replay.events
+        replay_sink = MemoryTraceSink()
         replayed = FluidTransferSimulator(
-            provider(), injectors=(TraceReplayInjector(sink.records),)
+            provider(), injectors=(replay,), trace=replay_sink,
         ).run(transfers)
         assert replayed == loaded
+        assert injected(replay_sink) == injected(sink)
 
 
 class TestReplayMechanics:

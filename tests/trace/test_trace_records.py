@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -144,6 +145,16 @@ class TestSnapshots:
         assert snap.calendar.retimed == 9    # typed access
         assert snap.as_dict() == loop.snapshot()
         assert sorted(snap.keys()) == sorted(loop.snapshot().keys())
+
+    def test_every_live_counter_reaches_its_snapshot(self):
+        counters = {spec.name: i + 1 for i, spec in enumerate(fields(CalendarStats))}
+        stats = CalendarStats(**counters)
+        assert stats.snapshot() == counters
+        loop_counters = {spec.name: i + 1 for i, spec in enumerate(fields(EngineLoopStats))
+                         if spec.name != "calendar"}
+        snap = EngineLoopStats(**loop_counters, calendar=stats.snapshot()).freeze()
+        assert snap.calendar == stats.freeze()
+        assert snap.as_dict() == {**loop_counters, **counters}
 
     def test_snapshots_compare_by_value(self):
         assert CalendarStats(flushes=1).freeze() == CalendarStats(flushes=1).freeze()
