@@ -5,10 +5,10 @@ the simulation hot paths pay exactly one pointer test per potential
 emission — so every ``.emit(...)``, ``.sample_record(...)`` and phase-timer
 use (``.timer(...)``, ``.observe(...)``, ``.due(...)``) in the hot modules
 must sit under an explicit ``is not None`` guard on the handle it
-dereferences.  The rule
-also keeps anyone from "simplifying" a guard into truthiness (``if
-trace:``) or dropping it during a refactor — the bit-exactness suites only
-catch that when the unguarded path happens to crash.
+dereferences.  The rule also keeps anyone from "simplifying" a guard into
+truthiness (``if trace:``) or dropping it during a refactor — the
+bit-exactness suites only catch that when the unguarded path happens to
+crash.
 
 Hot modules are matched by basename (``fluid.py``, ``engine.py``,
 ``interference.py``, ``incremental.py``, ``sharing.py``, ``allocator.py`` by

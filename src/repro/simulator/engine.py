@@ -504,7 +504,7 @@ class ExecutionEngine:
             if injection.compute_scales:
                 # slowdown windows scale the compute *rate* of events that
                 # start while the window is open (see NodeSlowdownInjector)
-                duration = duration / injection.compute_scale(self._node_of(task.rank))
+                duration = duration / injection.compute_factor(self._node_of(task.rank))
             task.status = _Status.COMPUTING
             self._computing += 1
             task.compute_until = self.now + duration

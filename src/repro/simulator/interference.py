@@ -167,8 +167,7 @@ class InjectionState:
     """
 
     def __init__(self, calendar: TransferCalendar, hosts: Tuple[int, ...],
-                 injectors: Sequence = (),
-                 trace: Optional[TraceSink] = None) -> None:
+                 injectors: Sequence, trace: Optional[TraceSink]) -> None:
         self.now = 0.0
         self.hosts = hosts
         self.injectors = tuple(injectors)
@@ -268,7 +267,7 @@ class InjectionState:
                                          handle, {}))
         self.compute_scales.pop(handle, None)
 
-    def compute_scale(self, node: int) -> float:
+    def compute_factor(self, node: int) -> float:
         """Product of the active compute-rate scales at ``node``."""
         factor = 1.0
         for scale in self.compute_scales.values():

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Hashable,
@@ -25,9 +24,6 @@ from typing import (
     ValuesView,
     overload,
 )
-
-if TYPE_CHECKING:
-    from .sinks import TraceSink
 
 from ..exceptions import TraceError
 
