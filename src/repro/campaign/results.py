@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from ..analysis import render_table
+from ..exceptions import WorkloadError
 
 __all__ = ["ScenarioResult", "CampaignResultStore"]
 
@@ -129,12 +130,21 @@ class CampaignResultStore:
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CampaignResultStore":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            campaign=str(data["campaign"]),
-            results=[ScenarioResult.from_dict(r) for r in data["results"]],
-            stats={k: int(v) for k, v in data.get("stats", {}).items()},
-        )
+        """Load a :meth:`to_json` export; a corrupt file raises :class:`WorkloadError`."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise WorkloadError(f"cannot read campaign results {str(path)!r}: {exc}") from exc
+        try:
+            return cls(
+                campaign=str(data["campaign"]),
+                results=[ScenarioResult.from_dict(r) for r in data["results"]],
+                stats={k: int(v) for k, v in data.get("stats", {}).items()},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise WorkloadError(
+                f"malformed campaign results {str(path)!r}: "
+                f"{type(exc).__name__} {exc}") from exc
 
     def to_csv(self, path: Union[str, Path]) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:

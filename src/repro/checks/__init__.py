@@ -16,9 +16,9 @@ code      name                          invariant
                                         ``is not None`` test on the same name
 ``RC04``  delta-contract                ``update()`` routes through
                                         ``update_slots()``, which needs
-                                        ``update``/``reset``; ``rates()``
-                                        routes through ``update()``;
-                                        ``reset()`` is zero-arg
+                                        ``reset``; ``rates()`` routes
+                                        through ``update()``; ``reset()``
+                                        is zero-arg
 ``RC05``  vectorized-parity-manifest    every ``vectorized`` toggle mapped to its
                                         property-test file in the parity manifest
 ``RC06``  bench-emit-discipline         benchmarks write results only through the

@@ -1,9 +1,9 @@
 """RC04 — structural shape of the ``RateProvider`` delta contract.
 
-The calendar hands every flow delta to a provider's ``update_slots`` when
-it has one, and serves an ``update``-only provider through one slot-aligning
-adapter (see the :mod:`repro.network.fluid` docstring).  Four structural
-rules keep a provider from quietly landing outside the contract:
+The calendar hands every flow delta to a provider's ``update_slots`` and
+calls nothing else but ``reset`` (see the :mod:`repro.network.fluid`
+docstring).  Four structural rules keep a provider from quietly landing
+outside the contract:
 
 * **update-is-a-view** — a class defining both ``update`` and
   ``update_slots`` must route ``update`` through ``update_slots`` (directly
@@ -11,10 +11,9 @@ rules keep a provider from quietly landing outside the contract:
   ``update_slots`` while ``rates()`` shims and direct callers price through
   ``update``, so two independent pricing walks could drift apart.
 * **slots-invariant-methods** — a class speaking ``update_slots`` must also
-  define ``update`` (the calendar takes the delta path, and with it
-  ``update_slots``, only when ``update`` exists) and ``reset`` (the
-  :meth:`~repro.network.fluid.TransferCalendar.reprice` re-seeds every
-  slot handle through reset + full re-add).
+  define ``reset``: :meth:`~repro.network.fluid.TransferCalendar.reprice`
+  re-seeds every slot handle through reset + full re-add, and the calendar
+  rejects a provider without it.
 * **rates-is-a-shim** — a class defining both ``update`` and ``rates`` must
   route ``rates`` through ``update`` the same way: a full-set query with
   its own pricing is the same drift.
@@ -82,7 +81,7 @@ class DeltaContractChecker(Checker):
     code = "RC04"
     name = "delta-contract"
     description = ("RateProvider structure: update() must be a view over "
-                   "update_slots(), which needs update/reset beside it; "
+                   "update_slots(), which needs reset() beside it; "
                    "rates() must be a shim over update(); reset() must be "
                    "zero-arg")
 
@@ -132,19 +131,16 @@ class DeltaContractChecker(Checker):
                            "not route through update_slots(): the dict call "
                            "must be a view over the slot walk or the two "
                            "pricings can drift")
-        if "update_slots" in effective:
-            missing = [m for m in ("update", "reset") if m not in effective]
-            if missing:
-                anchor = own.get("update_slots")
-                ctx.report(module,
-                           anchor.lineno if anchor is not None else cls.lineno,
-                           self.code,
-                           f"class {cls.name!r} defines update_slots() "
-                           "without the slot-map invariant method set "
-                           f"(missing: {', '.join(missing)}); the calendar "
-                           "reaches update_slots() only beside update(), "
-                           "and reprice re-seeds slot handles through "
-                           "reset()")
+        if "update_slots" in effective and "reset" not in effective:
+            anchor = own.get("update_slots")
+            ctx.report(module,
+                       anchor.lineno if anchor is not None else cls.lineno,
+                       self.code,
+                       f"class {cls.name!r} defines update_slots() "
+                       "without the slot-map invariant method set "
+                       "(missing: reset); reprice re-seeds slot handles "
+                       "through reset(), and the calendar rejects a "
+                       "provider without it")
         if "update" in effective and "rates" in effective:
             if not self._reaches(effective, "rates", "update"):
                 anchor = own.get("rates") or own.get("update")

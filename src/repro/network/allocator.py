@@ -39,10 +39,12 @@ The provider is **delta-scaled**: the endpoint-pair multiset that keys the
 memo is maintained incrementally (a sorted pair list updated by bisection
 per arrival/departure, instead of re-sorting the active set on every query),
 per-transfer rates are kept in an incrementally-updated map, and the changed
-set an ``update(added, removed)`` call reports is derived by value-diffing
+set an ``update_slots`` call hands the calendar is derived by value-diffing
 the allocation *per endpoint pair* against the previous one — so a memoized
 flush costs O(delta + distinct pairs) instead of O(active × log active).
-The full-set ``rates(active)`` call is a compatibility shim that diffs the
+``update(added, removed)`` is a dict view over the same walk.  The full-set
+``rates(active)`` call, which the §IV.B penalty measurement
+(:meth:`EmulatorRateProvider.instantaneous_penalties`) uses, diffs the
 requested set against the tracked one and applies the delta.
 
 On a cache miss the water-filling is additionally *warm-started*: when
@@ -64,7 +66,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from .._numpy import np
 from ..core.incremental import PenaltyCache
 from ..exceptions import SimulationError
-from .fluid import SlotMap, Transfer
+from .fluid import SlotMap, Transfer, validate_delta
 from .sharing import water_fill_arrays
 from .technologies import NetworkTechnology
 from .topology import CrossbarTopology, Topology
@@ -468,7 +470,10 @@ class EmulatorRateProvider:
         calendar applies it by direct array indexing with zero per-flush
         hash gathers.
         """
-        self._validate_delta(added, removed)
+        validate_delta(self._active, added, removed)
+        for transfer in added:
+            self.topology.check_host(transfer.src)
+            self.topology.check_host(transfer.dst)
         changed_pairs: List[Tuple[int, int]] = []
         for tid in removed:
             changed_pairs.append(self._untrack(tid))
@@ -481,24 +486,6 @@ class EmulatorRateProvider:
             self._primed = True
             return [], np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
         return self._allocate_slots(changed_pairs, added_tids)
-
-    def _validate_delta(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ) -> None:
-        """Validate a whole delta (membership and hosts) before any mutation."""
-        departing = set()
-        for tid in removed:
-            if tid not in self._active or tid in departing:
-                raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
-            departing.add(tid)
-        remaining = set(self._active) - departing
-        for transfer in added:
-            tid = transfer.transfer_id
-            if tid in remaining:
-                raise SimulationError(f"transfer {tid!r} added to the rate set twice")
-            remaining.add(tid)
-            self.topology.check_host(transfer.src)
-            self.topology.check_host(transfer.dst)
 
     def _price_situation(
         self, changed_pairs: Sequence[Tuple[int, int]]

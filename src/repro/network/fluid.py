@@ -19,51 +19,39 @@ arrival/departure.
 
 Delta recomputation contract
 ----------------------------
-Rate providers expose two entry points:
-
-* ``rates(active)`` — the historical full-set call: the rate (bytes/s) of
-  every transfer in ``active``.  The rates returned for a given active set
-  must not depend on *when* the provider was previously queried, only on
-  the set itself — any conforming provider can cache aggressively.
-* ``update(added, removed) -> changed`` — the delta call: apply the flow
-  arrivals (``added``, :class:`Transfer` objects) and departures
-  (``removed``, transfer ids) and return the rates of exactly the transfers
-  that were **re-priced** — every added transfer plus any incumbent whose
-  rate may have changed (for the model-side provider that is the membership
-  of the conflict components dirtied by the delta, straight out of
-  :class:`repro.core.incremental.IncrementalPenaltyEngine`; for the
-  emulator it is the value-diff of the re-solved allocation).  Transfers
-  absent from the returned mapping are guaranteed to keep their previous
-  rate, which is what lets the calendar leave their predicted completion
-  untouched.  Providers may also expose ``reset()`` to drop the tracked
-  active set between independent runs (memo caches survive a reset).
-
-Providers that care about speed also define the slot-handle variant of
-the delta call — same semantics, no per-flush hash gather:
+A rate provider (:class:`RateProvider`) has exactly two methods the
+calendar calls:
 
 * ``update_slots(added, added_slots, removed) -> (tids, slots, rates)`` —
-  at flush the calendar passes each arrival's structure-of-arrays *slot
-  index* alongside the :class:`Transfer`; the provider stores the handles
-  and returns every subsequent changed set already slot-aligned (parallel
-  id list, intp ndarray and float64 ndarray).  Returned slots are
-  authoritative — the provider must report only transfers it was handed
-  and not yet removed.
+  apply the flow arrivals (``added``, :class:`Transfer` objects, each with
+  its structure-of-arrays *slot index* in ``added_slots``) and departures
+  (``removed``, transfer ids) and return, as a parallel id list, intp
+  ndarray and float64 ndarray, the rates of exactly the transfers that
+  were **re-priced** — every added transfer plus any incumbent whose rate
+  may have changed (for the model-side provider that is the membership of
+  the conflict components dirtied by the delta, straight out of
+  :class:`repro.core.incremental.IncrementalPenaltyEngine`; for the
+  emulator it is the value-diff of the re-solved allocation).  Transfers
+  absent from the answer are guaranteed to keep their previous rate, which
+  is what lets the calendar leave their predicted completion untouched.
+  The provider stores each arrival's slot handle and returns it with every
+  later rate of that transfer; returned slots are authoritative, so the
+  provider must report only transfers it was handed and not yet removed.
+  The rates for a given active set must not depend on *when* the provider
+  was previously asked, only on the set itself.
+* ``reset()`` — drop the tracked active set (memo caches survive a reset);
+  called between independent runs and by :meth:`TransferCalendar.reprice`.
 
-This is the calendar's only delta handoff.  Every flush, stall retry and
-reprice goes through it, traced or not and with or without a rate scale.
-A provider that defines only ``update`` (and the ``rates``-only full
-query) is served by one private adapter: it aligns the returned ids to
-slots through :attr:`SlotMap.slot_of` and drops ids the calendar does not
-hold.  Both built-in providers
+Every flush, stall retry and reprice goes through ``update_slots``, traced
+or not and with or without a rate scale; the calendar rejects a provider
+that lacks either method at construction.  Both built-in providers
 (:class:`repro.simulator.providers.ModelRateProvider`, which threads slot
 handles through the incremental pricing engine's component bookkeeping,
 and :class:`repro.network.allocator.EmulatorRateProvider`, which stores
-them in its endpoint-pair buckets) speak ``update_slots`` natively, and
-their ``update`` is a dict view over the same pricing walk.  Which path
-served each flush is counted in ``CalendarStats.handoff_tier_slots`` (a
-native ``update_slots``) and ``handoff_tier_dict`` (the adapter or the
-full query).  The contract, including slot-map ownership rules, is
-documented in ``docs/delta-handoff.md``.
+them in its endpoint-pair buckets) validate each delta with
+:func:`validate_delta` and keep ``update(added, removed)`` as a dict view
+over the same pricing walk for direct callers.  The contract, including
+slot-map ownership rules, is documented in ``docs/delta-handoff.md``.
 
 Calendar invariants
 -------------------
@@ -107,8 +95,8 @@ entries.
   bounded after every mutating call.
 * **Zero-rate flights**: a flight whose applied rate is ``<= 0`` gets no
   calendar entry (nothing to predict).  The calendar tracks these in a
-  *stalled* set; in delta mode every subsequent :meth:`flush` re-rates them
-  through a departure+arrival cycle of the delta API (which dirties their
+  *stalled* set; every subsequent :meth:`flush` re-rates them through a
+  departure+arrival cycle of ``update_slots`` (which dirties their
   conflict component, forcing the provider to re-report them), so a
   transfer zero-rated by an under-reporting provider resurfaces as soon as
   anything else changes instead of starving silently.  When nothing else
@@ -152,8 +140,8 @@ the tid↔slot mapping — the same dense-slot-plus-free-list discipline the
 emulator allocator uses for its incidence arrays.  Slot-map invariants:
 
 * every active tid owns exactly one slot; ``SlotMap.slot_of`` preserves
-  *activation order*, so full-set provider queries, missing-rate scans and
-  :meth:`reprice` enumerate transfers in activation order;
+  *activation order*, so missing-rate scans and :meth:`reprice` enumerate
+  transfers in activation order;
 * released slots go to a free-list and are reused LIFO; array cells of
   free slots are garbage and are never read (liveness is defined by
   ``slot_of`` membership, not by array contents);
@@ -184,7 +172,7 @@ and untraced runs see the same heap evolution and report the same stats.
 The scalar per-flight calendar this store replaced is kept as a test
 oracle (``tests/oracles/scalar_calendar.py``);
 ``tests/property/test_vectorized_calendar.py`` checks the two agree across
-both provider families and both flush paths (delta and full query).
+both provider families, natively and behind the rates-only test adapter.
 
 Simulation cost therefore scales with *state changes* (how many transfers
 each arrival/departure re-prices) rather than with the size of the active
@@ -211,7 +199,7 @@ in terms of the invariants above:
   flight's epoch and pushed a fresh completion entry; payload carries the
   new ``rate``, ``remaining`` bytes and predicted ``completion``.  The
   superseded entry dies lazily.
-* ``calendar.flush`` — one provider query (delta or full): ``added``/
+* ``calendar.flush`` — one provider handoff: ``added``/
   ``removed`` are the delta sizes, ``changed`` how many rates came back,
   ``active`` the in-flight count — the per-step work the scale benchmark
   tracks.
@@ -263,7 +251,7 @@ __all__ = [
     "Transfer",
     "TransferResult",
     "RateProvider",
-    "DeltaRateProvider",
+    "validate_delta",
     "CalendarStats",
     "CalendarStatsSnapshot",
     "SlotMap",
@@ -361,27 +349,47 @@ class TransferResult:
 
 
 class RateProvider(Protocol):
-    """Anything that can allocate instantaneous rates to concurrent transfers."""
-
-    def rates(self, active: Sequence[Transfer]) -> Mapping[Hashable, float]:
-        """Return the current rate (bytes/s) of every active transfer."""
-        ...  # pragma: no cover - protocol
-
-
-class DeltaRateProvider(RateProvider, Protocol):
-    """A rate provider that can report exactly which transfers were re-priced.
+    """Allocates instantaneous rates to concurrent transfers, delta by delta.
 
     See the module docstring for the contract; the shipped
     :class:`repro.simulator.providers.ModelRateProvider` and
-    :class:`repro.network.allocator.EmulatorRateProvider` both implement it,
-    with ``rates()`` kept as a compatibility shim.
+    :class:`repro.network.allocator.EmulatorRateProvider` both implement it.
     """
 
-    def update(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable]
-    ) -> Mapping[Hashable, float]:
-        """Apply a flow delta; return the rates of the re-priced transfers."""
+    def update_slots(
+        self, added: Sequence[Transfer], added_slots: Sequence[int],
+        removed: Sequence[Hashable],
+    ) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+        """Apply a flow delta; return the re-priced ``(tids, slots, rates)``."""
         ...  # pragma: no cover - protocol
+
+    def reset(self) -> None:
+        """Forget the tracked active set."""
+        ...  # pragma: no cover - protocol
+
+
+def validate_delta(active: Mapping[Hashable, object],
+                   added: Sequence[Transfer],
+                   removed: Sequence[Hashable]) -> None:
+    """Reject a flow delta that does not fit the tracked set ``active``.
+
+    Every removed id must be tracked and removed once; an added id must not
+    be tracked (unless it departs in the same delta, as in the calendar's
+    stall-retry cycle) nor added twice.  Each id is checked on its own, so
+    the cost follows the delta, not the active set.  Providers call this
+    before mutating anything, so a rejected delta can be retried.
+    """
+    departing = set()
+    for tid in removed:
+        if tid not in active or tid in departing:
+            raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
+        departing.add(tid)
+    arriving = set()
+    for transfer in added:
+        tid = transfer.transfer_id
+        if tid in arriving or (tid in active and tid not in departing):
+            raise SimulationError(f"transfer {tid!r} added to the rate set twice")
+        arriving.add(tid)
 
 
 @dataclass(frozen=True)
@@ -440,10 +448,8 @@ class CalendarStats:
     bulk_merges: int = 0
     #: heap entries inserted through bulk merges (⊆ ``retimed``)
     bulk_entries: int = 0
-    #: flushes (and reprices) served by the provider's native
-    #: ``update_slots``, and by the dict adapter or the full query; strategy
-    #: counters — they name the handoff taken, not the work done, and
-    #: tracing or a rate scale never moves a flush between them
+    #: flushes (and reprices) handed to ``update_slots`` — every one; a
+    #: strategy counter naming the handoff taken, not the work done
     handoff_tier_slots: int = 0
     #: always 0: kept so readers of the historical counter set still work
     handoff_tier_arrays: int = 0
@@ -471,8 +477,7 @@ class _FlightArrays:
     docstring's flight-store section for the invariants).  ``transfer`` is
     a parallel Python list (the only per-flight object field); ``unrated``
     counts live flights whose rate has never been applied, so the
-    delta-mode missing-rate scan can be skipped entirely in the steady
-    state.
+    missing-rate scan can be skipped entirely in the steady state.
     """
 
     __slots__ = ("slots", "transfer", "remaining", "rate", "last_update",
@@ -526,11 +531,6 @@ class _FlightArrays:
             self.unrated -= 1
         return slot
 
-    def transfers(self) -> List[Transfer]:
-        """Live transfers in activation order."""
-        transfer = self.transfer
-        return [transfer[slot] for slot in self.slots.slot_of.values()]
-
 
 class TransferCalendar:
     """Lazy min-heap of predicted transfer completions over a rate provider.
@@ -544,13 +544,10 @@ class TransferCalendar:
     Parameters
     ----------
     rate_provider:
-        The provider; when it implements ``update`` (the delta contract)
-        each flush hands it only the arrivals/departures since the previous
-        flush, through its ``update_slots`` when it has one and through
-        the calendar's slot-aligning dict adapter otherwise.  A rates-only
-        provider is re-queried with the full active set and the changed
-        rates are found by value-diff — semantically identical, O(active)
-        per flush.
+        The provider (:class:`RateProvider`): each flush hands its
+        ``update_slots`` only the arrivals/departures since the previous
+        flush.  A provider without ``update_slots`` or ``reset`` is
+        rejected with a :class:`SimulationError`.
     missing_rate:
         What to do when the provider returns no rate for a live transfer:
         ``"error"`` raises (the fluid simulator's historical behaviour),
@@ -591,19 +588,18 @@ class TransferCalendar:
     ) -> None:
         if missing_rate not in ("error", "zero"):
             raise SimulationError(f"unknown missing_rate policy {missing_rate!r}")
+        for method in ("update_slots", "reset"):
+            if not callable(getattr(rate_provider, method, None)):
+                raise SimulationError(
+                    f"rate provider {type(rate_provider).__name__} has no "
+                    f"{method}() method; the calendar needs update_slots() "
+                    "and reset()")
         self.provider = rate_provider
-        self.delta = callable(getattr(rate_provider, "update", None))
         self.missing_rate = missing_rate
         self._trace = active_sink(trace)
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
         self.stats = CalendarStats()
         self._arr = _FlightArrays()
-        #: the provider's native slot-handle handoff (delta providers only):
-        #: it keeps the slot index the calendar assigned at activation and
-        #: returns rates already slot-aligned — no per-flush hash gather
-        update_slots = getattr(rate_provider, "update_slots", None)
-        self._update_slots = (update_slots if self.delta and callable(update_slots)
-                              else None)
         self._heap: List[Tuple[float, int, Hashable, int]] = []
         self._seq = itertools.count()
         #: last epoch handed out; epochs are calendar-wide, so an entry left
@@ -813,8 +809,8 @@ class TransferCalendar:
 
         The pending queues are cleared only once the provider query returned:
         a provider that raises (e.g. a :class:`SimulationError` on a
-        duplicate id) leaves the calendar consistent and re-flushable.  In
-        delta mode, zero-rated (stalled) flights are re-rated through a
+        duplicate id) leaves the calendar consistent and re-flushable.
+        Zero-rated (stalled) flights are re-rated through a
         departure+arrival cycle on every flush — see the module docstring.
         """
         # hot path: one attribute read and a None test when unmetered; when
@@ -832,75 +828,38 @@ class TransferCalendar:
     def _flush(self, now: float) -> None:
         added_count = len(self._pending_added)
         removed_count = len(self._pending_removed)
-        if self.delta:
-            if not added_count and not removed_count:
-                if self._stalled:
-                    self._retry_stalled(now)
-                return
-            tids, slots, rates, reported = self._handoff(
-                list(self._pending_added.values()), list(self._pending_removed))
-        else:
-            if not self.active_count:
-                self._pending_added.clear()
-                self._pending_removed.clear()
-                return
-            tids, slots, rates, reported = self._align(
-                self.provider.rates(self._arr.transfers()))
+        if not added_count and not removed_count:
+            if self._stalled:
+                self._retry_stalled(now)
+            return
+        tids, slots, rates = self._handoff(
+            list(self._pending_added.values()), list(self._pending_removed))
         self._pending_added.clear()
         self._pending_removed.clear()
-        self._count_flush(reported)
+        self._count_flush(len(tids))
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.flush", None, {
                 "added": added_count, "removed": removed_count,
-                "changed": reported, "active": self.active_count,
+                "changed": len(tids), "active": self.active_count,
             }))
         self._apply_changed(tids, slots, rates, now)
-        if self.delta and self._stalled:
+        if self._stalled:
             self._retry_stalled(now)
 
     def _handoff(self, added: Sequence[Transfer], removed: Sequence[Hashable]):
-        """Hand one flow delta to the provider; return its answer slot-aligned.
+        """Hand one flow delta, with each arrival's slot, to ``update_slots``.
 
-        Returns ``(tids, slots, rates, reported)``: the changed set as a
-        parallel id list, intp slot array and float64 rate array, plus how
-        many rates the provider reported.  A native ``update_slots`` gets
-        each arrival's slot handle and answers slot-aligned; an
-        ``update``-only provider goes through :meth:`_align`.
-        """
-        if self._update_slots is not None:
-            slot_of = self._arr.slots.slot_of
-            tids, slots, rates = self._update_slots(
-                added, [slot_of[t.transfer_id] for t in added], removed)
-            return tids, slots, rates, len(tids)
-        return self._align(self.provider.update(added, removed))
-
-    def _align(self, changed: Mapping[Hashable, float]):
-        """Slot-align a dict answer (``update`` or a full ``rates`` query).
-
-        Same 4-tuple as :meth:`_handoff`; ids the calendar does not hold
-        are dropped (a full-map shim may echo them) but still count as
-        reported.
+        Returns the provider's slot-aligned changed set: a parallel id
+        list, intp slot array and float64 rate array.
         """
         slot_of = self._arr.slots.slot_of
-        tids: List[Hashable] = []
-        slot_list: List[int] = []
-        rate_list: List[float] = []
-        for tid, rate in changed.items():
-            slot = slot_of.get(tid)
-            if slot is not None:
-                tids.append(tid)
-                slot_list.append(slot)
-                rate_list.append(rate)
-        return (tids, np.array(slot_list, dtype=np.intp),
-                np.array(rate_list, dtype=np.float64), len(changed))
+        return self.provider.update_slots(
+            added, [slot_of[t.transfer_id] for t in added], removed)
 
     def _count_flush(self, reported: int) -> None:
         stats = self.stats
         stats.flushes += 1
-        if self._update_slots is not None:
-            stats.handoff_tier_slots += 1
-        else:
-            stats.handoff_tier_dict += 1
+        stats.handoff_tier_slots += 1
         stats.rate_updates += reported
         stats.active_at_flush += len(self._arr.slots)
 
@@ -924,16 +883,11 @@ class TransferCalendar:
                 self._apply_rate_slot(tid, slot, float(rate), now)
         else:
             fresh = self._apply_batch(tids, slots, rates, now)
-        # in delta mode absence from the changed set means "rate unchanged"
-        # (the contract); on a full query it means the provider dropped a
-        # live transfer — never acceptable under "error", a zero rate under
-        # "zero"
-        if self.delta:
-            missing = ([tid for tid, slot in arr.slots.slot_of.items()
-                        if not arr.rated[slot]] if arr.unrated else [])
-        else:
-            returned = set(tids)
-            missing = [tid for tid in arr.slots.slot_of if tid not in returned]
+        # absence from the changed set means "rate unchanged" (the
+        # contract); a flight never rated at all is missing — never
+        # acceptable under "error", a zero rate under "zero"
+        missing = ([tid for tid, slot in arr.slots.slot_of.items()
+                    if not arr.rated[slot]] if arr.unrated else [])
         if missing:
             if fresh:
                 # restore the heap invariant before raising or re-rating
@@ -1128,8 +1082,8 @@ class TransferCalendar:
         re-report it — the escape hatch for flights an under-reporting
         provider left at rate zero (they have no calendar entry and would
         otherwise only resurface when an unrelated delta touched their
-        component).  The cycle rides the flush handoff, so a native
-        provider re-registers each flight's slot handle.
+        component).  The cycle rides the flush handoff, so the provider
+        re-registers each flight's slot handle.
         """
         arr = self._arr
         slot_of = arr.slots.slot_of
@@ -1137,10 +1091,10 @@ class TransferCalendar:
         if not retry:
             return
         transfer = arr.transfer
-        tids, slots, rates, reported = self._handoff(
+        tids, slots, rates = self._handoff(
             [transfer[slot_of[tid]] for tid in retry], list(retry))
         self.stats.stall_retries += len(retry)
-        self.stats.rate_updates += reported
+        self.stats.rate_updates += len(tids)
         if self._trace is not None:
             # a persistent stall re-emits this record every flush: bound the
             # payload to a count plus the first few ids
@@ -1157,28 +1111,20 @@ class TransferCalendar:
         The delta contract cannot express "every rate may have changed"
         (e.g. after a link-degradation window toggles the rate scale), so
         this resets the provider's tracked set and re-adds the whole active
-        set in one delta through the flush handoff; in full-query mode a
-        plain re-query suffices.  Any pending delta is flushed first.
+        set in one delta through the flush handoff.  Any pending delta is
+        flushed first.
         """
         self.flush(now)
         if not self.active_count:
             return
-        transfers = self._arr.transfers()
-        if self.delta:
-            reset = getattr(self.provider, "reset", None)
-            if not callable(reset):
-                raise SimulationError(
-                    "reprice() on a delta provider requires a reset() method"
-                )
-            reset()
-            tids, slots, rates, reported = self._handoff(transfers, [])
-        else:
-            tids, slots, rates, reported = self._align(
-                self.provider.rates(transfers))
-        self._count_flush(reported)
+        self.provider.reset()
+        transfer = self._arr.transfer
+        tids, slots, rates = self._handoff(
+            [transfer[slot] for slot in self._arr.slots.slot_of.values()], [])
+        self._count_flush(len(tids))
         if self._trace is not None:
             self._trace.emit(TraceRecord(now, "calendar.reprice", None, {
-                "active": self.active_count, "changed": reported,
+                "active": self.active_count, "changed": len(tids),
             }))
         self._apply_changed(tids, slots, rates, now)
 
@@ -1308,12 +1254,10 @@ class FluidTransferSimulator:
         if not transfers:
             return {}
 
-        reset = getattr(self.rate_provider, "reset", None)
-        if callable(reset):
-            reset()
         trace = self.trace
         calendar = TransferCalendar(self.rate_provider, missing_rate="error",
                                     trace=trace, metrics=self.metrics)
+        self.rate_provider.reset()
         if self.metrics is not None:
             self.metrics.register_source("calendar", calendar.stats.snapshot)
             register = getattr(self.rate_provider, "register_metrics", None)

@@ -48,10 +48,9 @@ two paths cannot disagree.
 
 Downstream, :class:`~repro.network.allocator.EmulatorRateProvider` feeds
 these rates into the calendar's delta handoff; because the solver is
-bit-exact across its own paths, the provider can hand the changed-value
-diff back slot-aligned (``update_slots``) or as the dict view ``update()``
-builds over it (see ``docs/delta-handoff.md``) without the choice ever
-leaking into simulated results.
+bit-exact across its own paths, the changed-value diff the provider hands
+back slot-aligned (``update_slots``, see ``docs/delta-handoff.md``) never
+depends on which path solved it.
 """
 
 from __future__ import annotations

@@ -27,9 +27,8 @@ returns the rates of exactly the transfers it re-priced (with the default
 the conflict components the delta dirtied), and only transfers whose rate
 *value* changed have their remaining bytes integrated and their completion
 re-timed.  Per-step work therefore scales with the state change, not with
-the number of in-flight transfers.  A provider without ``update`` is
-re-queried with the full active set each step instead (bit-exact with the
-delta path — property-tested in ``tests/property/test_calendar_engine.py``).
+the number of in-flight transfers.  The calendar rejects a provider without
+``update_slots`` and ``reset``.
 
 Message matching — pending sends, posted receives, parked eager arrivals
 and unclaimed in-flight transfers — is indexed by ``(src, dst, tag)`` with
@@ -886,15 +885,13 @@ class ExecutionEngine:
 
     def run(self) -> SimulationReport:
         """Execute the application to completion and return the report."""
-        reset = getattr(self.rate_provider, "reset", None)
-        if callable(reset):
-            reset()
         self._calendar = TransferCalendar(
             self.rate_provider,
             missing_rate="zero",
             trace=self._trace,
             metrics=self._metrics,
         )
+        self.rate_provider.reset()
         cluster = self.placement.cluster
         if cluster is not None:
             hosts: Tuple[int, ...] = tuple(range(cluster.num_nodes))

@@ -7,7 +7,7 @@ throttled nodes.  This module turns the event-calendar execution machinery
 into a loaded-fabric simulator: **injectors** are small stateful event
 sources whose entries ride the same timeline heap as compute completions and
 transfer readiness, and whose effects travel through the exact same
-:class:`~repro.network.fluid.TransferCalendar` / ``RateProvider.update``
+:class:`~repro.network.fluid.TransferCalendar` / ``RateProvider.update_slots``
 delta path as foreground transfers.
 
 Injector contract

@@ -12,13 +12,16 @@ providers exist:
 * :class:`~repro.network.allocator.EmulatorRateProvider` — the **measured**
   side (calibrated fluid emulator), re-exported here for symmetry.
 
-Both implement the delta contract of :mod:`repro.network.fluid`:
-``update(added, removed)`` applies a flow delta and returns the rates of
-exactly the transfers that were re-priced, so the event-calendar loops only
-re-time what actually changed.  The historical full-set ``rates(active)``
-call is kept as a compatibility shim built on ``update`` — it diffs the
-requested set against the tracked one, applies the delta, and returns the
-stored rate of every requested transfer.
+Both implement the calendar's provider interface of
+:mod:`repro.network.fluid`: ``update_slots(added, added_slots, removed)``
+applies a flow delta and returns, slot-aligned, the rates of exactly the
+transfers that were re-priced, so the event-calendar loops only re-time
+what actually changed; ``reset()`` drops the tracked set.  For direct
+callers, ``update(added, removed)`` is a dict view over the same pricing
+walk, and the full-set ``rates(active)`` call (which
+``instantaneous_penalties`` uses) diffs the requested set against the
+tracked one, applies the delta, and returns the stored rate of every
+requested transfer.
 
 The model side is *incremental*: deltas dirty only the conflict components
 they touch, and repeated contention situations are served from a memoized
@@ -42,7 +45,7 @@ from ..core.incremental import EngineStats, IncrementalPenaltyEngine, PenaltyCac
 from ..core.penalty import ContentionModel
 from ..exceptions import SimulationError
 from ..network.allocator import EmulatorRateProvider
-from ..network.fluid import Transfer
+from ..network.fluid import Transfer, validate_delta
 from ..network.technologies import NetworkTechnology, get_technology
 
 __all__ = ["ModelRateProvider", "EmulatorRateProvider"]
@@ -128,37 +131,6 @@ class ModelRateProvider:
         self._active.clear()
         self._rates.clear()
 
-    def _apply_delta(
-        self, added: Sequence[Transfer], removed: Sequence[Hashable],
-        added_slots: Sequence[int],
-    ) -> None:
-        """Validate the whole delta, then apply it to the tracked set.
-
-        ``added_slots`` is parallel to ``added``; each arrival's
-        ``(tid, slot, is_intra)`` handle is registered with the incremental
-        engine so re-priced sets come back slot-aligned.
-        """
-        departing = set()
-        for tid in removed:
-            if tid not in self._active or tid in departing:
-                raise SimulationError(f"unknown transfer {tid!r} removed from rate set")
-            departing.add(tid)
-        remaining = set(self._active) - departing
-        for transfer in added:
-            tid = transfer.transfer_id
-            if tid in remaining:
-                raise SimulationError(f"transfer {tid!r} added to the rate set twice")
-            remaining.add(tid)
-        for tid in removed:
-            self._active.pop(tid)
-            self._rates.pop(tid, None)
-            self._engine.remove(str(tid))
-        for transfer, slot in zip(added, added_slots):
-            tid = transfer.transfer_id
-            self._active[tid] = transfer
-            self._engine.add(self._communication(transfer),
-                             (tid, slot, transfer.is_intra_node))
-
     def update(
         self, added: Sequence[Transfer], removed: Sequence[Hashable]
     ) -> Dict[Hashable, float]:
@@ -184,12 +156,22 @@ class ModelRateProvider:
         """:meth:`update` with slot handles: ``(tids, slots, rates)``.
 
         The calendar's handoff: the caller passes each arrival's flight
-        slot alongside the transfer, the handles ride the incremental
-        engine's component bookkeeping, and the re-priced set comes back as
-        parallel (tid, slot, rate) sequences — the calendar applies them by
-        direct array indexing with zero per-flush hash gathers.
+        slot alongside the transfer, the ``(tid, slot, is_intra)`` handles
+        ride the incremental engine's component bookkeeping, and the
+        re-priced set comes back as parallel (tid, slot, rate) sequences —
+        the calendar applies them by direct array indexing with zero
+        per-flush hash gathers.
         """
-        self._apply_delta(added, removed, added_slots)
+        validate_delta(self._active, added, removed)
+        for tid in removed:
+            self._active.pop(tid)
+            self._rates.pop(tid, None)
+            self._engine.remove(str(tid))
+        for transfer, slot in zip(added, added_slots):
+            tid = transfer.transfer_id
+            self._active[tid] = transfer
+            self._engine.add(self._communication(transfer),
+                             (tid, slot, transfer.is_intra_node))
         handles, penalties = self._engine.refresh_handles()
         if not handles:
             return [], np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -111,6 +112,23 @@ class TestRunnerBehaviour:
         header = csv_path.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("scenario_id,kind,workload,network,model")
         assert len(csv_path.read_text(encoding="utf-8").splitlines()) == len(store) + 1
+
+    def test_truncated_results_file_raises_workload_error(self, tmp_path):
+        store = CampaignRunner(random_campaign(1)).run()
+        path = tmp_path / "results.json"
+        store.to_json(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
+        with pytest.raises(WorkloadError, match="results.json"):
+            CampaignResultStore.from_json(path)
+
+    def test_results_file_without_campaign_raises_workload_error(self, tmp_path):
+        data = CampaignRunner(random_campaign(1)).run().to_dict()
+        del data["campaign"]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(WorkloadError, match="results.json.*'campaign'"):
+            CampaignResultStore.from_json(path)
 
     def test_summary_table_lists_every_scenario(self):
         spec = random_campaign(4)

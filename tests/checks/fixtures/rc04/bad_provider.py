@@ -23,3 +23,8 @@ class ChattyReset:
 
     def reset(self, hard):
         pass
+
+
+class SlotsWithoutReset:
+    def update_slots(self, added, added_slots, removed):
+        return (), (), ()

@@ -1,4 +1,4 @@
-"""Clean twin: a slot provider whose update() and rates() are views."""
+"""Clean twin: slot providers whose update() and rates() are views, or absent."""
 
 
 class SlotProvider:
@@ -29,3 +29,13 @@ class InheritedView(SlotProvider):
 
     def update_slots(self, added, added_slots, removed):
         return (), (), ()
+
+
+class SlotsOnly:
+    """update_slots + reset is the calendar's whole interface: no update needed."""
+
+    def update_slots(self, added, added_slots, removed):
+        return (), (), ()
+
+    def reset(self):
+        pass

@@ -112,11 +112,13 @@ class TestDeltaContractRC04:
                                 root=self.ROOT,
                                 checkers=[DeltaContractChecker])
         # TwoPricingWalks (no reset) trips the view rule at its update def
-        # line and the invariant-method rule at its update_slots def line
+        # line and the invariant-method rule at its update_slots def line;
+        # SlotsWithoutReset trips the invariant-method rule without update()
         assert triples(findings) == [("bad_provider.py", 5, "RC04"),
                                      ("bad_provider.py", 8, "RC04"),
                                      ("bad_provider.py", 16, "RC04"),
-                                     ("bad_provider.py", 24, "RC04")]
+                                     ("bad_provider.py", 24, "RC04"),
+                                     ("bad_provider.py", 29, "RC04")]
         messages = "\n".join(f.message for f in findings)
         assert "update() that does not route through update_slots()" in messages
         assert "slot-map invariant method set (missing: reset)" in messages

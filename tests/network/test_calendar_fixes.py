@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 from oracles.scalar_calendar import ScalarTransferCalendar
+from oracles.slot_adapter import SlotAdapter
 
 from repro.core import GigabitEthernetModel
 from repro.exceptions import SimulationError
@@ -22,7 +23,12 @@ from repro.simulator.providers import ModelRateProvider
 
 
 class SteppedRateProvider:
-    """Full-set provider whose rates change on every query (forces re-timing)."""
+    """Full-set provider whose rates change on every query (forces re-timing).
+
+    The calendar re-queries it (through :class:`SlotAdapter`) on every
+    flush that carries a delta and on every reprice, so :func:`churn`
+    drives the re-rates through reprices.
+    """
 
     def __init__(self):
         self.calls = 0
@@ -50,30 +56,28 @@ class DeltaEcho:
             changed[transfer.transfer_id] = self.rate
         return changed
 
-    # constant-rate test double: rates() and update() return the same
-    # literal value, so the shim rule's drift hazard cannot arise, and
-    # routing through update() would pollute the update-call ledger
-    # repro-check: ignore[RC04] — deliberate independent rates() in a test double
-    def rates(self, active):
-        return {t.transfer_id: self.rate for t in active}
-
     def reset(self):
         self.active = set()
+
+
+def churn(calendar, rounds, step):
+    """Re-rate every flight ``rounds`` times: the first flush, then reprices."""
+    calendar.flush(0.0)
+    for round_no in range(1, rounds):
+        calendar.reprice(float(round_no) * step)
 
 
 class TestHeapCompaction:
     def test_long_churn_run_bounds_the_heap(self):
         """Frequent rate changes must not grow the heap without bound."""
-        provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(SteppedRateProvider()))
         num_flights = 40
         for i in range(num_flights):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
-        # every flush re-rates every flight (the provider's rates creep), so
+        # every round re-rates every flight (the provider's rates creep), so
         # without compaction the heap would hold ~rounds * flights entries
         rounds = 200
-        for round_no in range(rounds):
-            calendar.flush(float(round_no) * 1e-3)
+        churn(calendar, rounds, 1e-3)
         bound = max(TransferCalendar.COMPACT_MIN_HEAP, 2 * calendar.active_count + 1)
         assert len(calendar._heap) <= bound
         assert calendar.stats.compactions > 0
@@ -83,21 +87,17 @@ class TestHeapCompaction:
         assert calendar.stats.stale_entries >= calendar.stats.retimed - len(calendar._heap)
 
     def test_small_heaps_are_never_compacted(self):
-        provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(SteppedRateProvider()))
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
-        for round_no in range(20):
-            calendar.flush(float(round_no) * 1e-3)
+        churn(calendar, 20, 1e-3)
         assert calendar.stats.compactions == 0
 
     def test_compaction_preserves_completion_order(self):
-        provider = SteppedRateProvider()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(SteppedRateProvider()))
         sizes = {i: 1000.0 * (i + 1) for i in range(50)}
         for i, size in sizes.items():
             calendar.activate(Transfer(i, 0, 1, size), now=0.0)
-        for round_no in range(100):
-            calendar.flush(float(round_no) * 1e-6)
+        churn(calendar, 100, 1e-6)
         assert calendar.stats.compactions > 0
         done = calendar.pop_due(1e9)
         # same rate for everyone: completion must come back ordered by size
@@ -123,7 +123,7 @@ class RaisingProvider:
 class TestFlushAtomicity:
     def test_raising_delta_provider_keeps_the_pending_delta(self):
         provider = RaisingProvider(failures=1)
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         with pytest.raises(SimulationError):
             calendar.flush(0.0)
@@ -143,7 +143,7 @@ class TestFlushAtomicity:
                     raise SimulationError("boom")
                 return {t.transfer_id: 100.0 for t in active}
 
-        calendar = TransferCalendar(FullRaising())
+        calendar = TransferCalendar(SlotAdapter(FullRaising()))
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         with pytest.raises(SimulationError):
             calendar.flush(0.0)
@@ -171,13 +171,12 @@ class TestFlushAtomicity:
         assert before  # sanity: the first allocation existed
 
     def test_departures_survive_a_raising_provider(self):
-        provider = DeltaEcho()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(DeltaEcho()))
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         assert calendar.pop_due(10.0)  # "a" completes, departure queued
         raising = RaisingProvider(failures=1)
-        calendar.provider = raising
+        calendar.provider = SlotAdapter(raising)
         calendar.activate(Transfer("b", 0, 1, 1000.0), now=10.0)
         with pytest.raises(SimulationError):
             calendar.flush(10.0)
@@ -215,7 +214,7 @@ class UnderReportingProvider:
 class TestZeroRateStall:
     def test_stalled_flight_is_rerated_on_later_flushes(self):
         provider = UnderReportingProvider(silent_tid="slow")
-        calendar = TransferCalendar(provider, missing_rate="zero")
+        calendar = TransferCalendar(SlotAdapter(provider), missing_rate="zero")
         calendar.activate(Transfer("slow", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         # the flush retried the zero-rated flight once already (remove+add
@@ -249,7 +248,7 @@ class TestZeroRateStall:
         app = Application(num_tasks=2)
         app.add_send(0, 1, 1 * MB, tag=1)
         app.add_recv(1, 0, 1 * MB, tag=1)
-        sim = Simulator(cluster, AlwaysSilent())
+        sim = Simulator(cluster, SlotAdapter(AlwaysSilent()))
         with pytest.raises(SimulationError) as excinfo:
             sim.run(app, placement="RRN")
         message = str(excinfo.value)
@@ -260,7 +259,7 @@ class TestZeroRateStall:
 class TestCancel:
     def test_cancel_before_flush_never_reaches_the_provider(self):
         provider = DeltaEcho()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.cancel("a", 0.0)
         calendar.flush(0.0)
@@ -270,7 +269,7 @@ class TestCancel:
 
     def test_cancel_after_flush_is_a_departure(self):
         provider = DeltaEcho()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         calendar.activate(Transfer("a", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         calendar.cancel("a", 1.0)
@@ -281,7 +280,7 @@ class TestCancel:
         assert calendar.pop_due(11.0)[0].transfer_id == "b"
 
     def test_cancel_unknown_transfer_fails(self):
-        calendar = TransferCalendar(DeltaEcho())
+        calendar = TransferCalendar(SlotAdapter(DeltaEcho()))
         with pytest.raises(SimulationError):
             calendar.cancel("ghost", 0.0)
 
@@ -297,7 +296,7 @@ class TestReusedTransferId:
         first re-timing: ``next_time()`` reported 1.0 and ``pop_due(1.0)``
         re-timed the new transfer for nothing.
         """
-        calendar = calendar_cls(DeltaEcho(rate=100.0))
+        calendar = calendar_cls(SlotAdapter(DeltaEcho(rate=100.0)))
         calendar.activate(Transfer("x", 0, 1, 100.0), now=0.0)
         calendar.flush(0.0)
         calendar.cancel("x", 0.5)

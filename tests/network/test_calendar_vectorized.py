@@ -19,6 +19,7 @@ import math
 
 import pytest
 from oracles.scalar_calendar import ScalarTransferCalendar
+from oracles.slot_adapter import SlotAdapter
 
 from repro._numpy import np
 from repro.exceptions import ReproError
@@ -63,14 +64,6 @@ class ScriptedDelta:
             changed[transfer.transfer_id] = rate
         return changed
 
-    # scripted test double: both entry points price from the same _rate()
-    # script, and the tests count calls to each path separately
-    # repro-check: ignore[RC04] — deliberate independent rates() in a test double
-    def rates(self, active):
-        self.calls += 1
-        rate = self._rate()
-        return {t.transfer_id: rate for t in active}
-
     def reset(self):
         self.tracked = set()
 
@@ -95,7 +88,7 @@ class TestCancelCompaction:
         so the heap grew unboundedly stale.
         """
         provider = ScriptedDelta()
-        calendar = calendar_cls(provider)
+        calendar = calendar_cls(SlotAdapter(provider))
         num_flights = 200
         for i in range(num_flights):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
@@ -116,7 +109,7 @@ class TestCancelCompaction:
 
     @BOTH_PATHS
     def test_small_cancel_runs_never_compact(self, calendar_cls):
-        calendar = calendar_cls(ScriptedDelta())
+        calendar = calendar_cls(SlotAdapter(ScriptedDelta()))
         for i in range(8):
             calendar.activate(Transfer(i, 0, 1, 1e9), now=0.0)
         calendar.flush(0.0)
@@ -140,7 +133,7 @@ class TestDegenerateBatches:
             # stall retry inside the same flush) still refuses; call 3
             # (next flush's retry) re-rates at the default
             provider = ScriptedDelta(script={1: 0.0, 2: 0.0})
-            calendar = calendar_cls(provider)
+            calendar = calendar_cls(SlotAdapter(provider))
             for i in range(6):
                 calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
             calendar.flush(0.0)
@@ -160,7 +153,7 @@ class TestDegenerateBatches:
             outcomes = []
             for calendar_cls in (TransferCalendar, ScalarTransferCalendar):
                 provider = ScriptedDelta(default=math.inf)
-                calendar = calendar_cls(provider)
+                calendar = calendar_cls(SlotAdapter(provider))
                 for i in range(8):
                     calendar.activate(Transfer(i, 0, 1, 1e12), now=0.0)
                 calendar.flush(0.0)
@@ -185,7 +178,7 @@ class TestDegenerateBatches:
 
         outcomes = []
         for calendar_cls in (TransferCalendar, ScalarTransferCalendar):
-            calendar = calendar_cls(MixedDelta())
+            calendar = calendar_cls(SlotAdapter(MixedDelta()))
             for i in rates:
                 calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
             calendar.flush(0.0)
@@ -203,7 +196,7 @@ class TestDegenerateBatches:
         """A one-flight changed set takes the loop path — no bulk merges."""
         assert 1 < TransferCalendar.BATCH_MIN
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         calendar.activate(Transfer("solo", 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
         assert calendar.stats.bulk_merges == 0
@@ -215,7 +208,7 @@ class TestDegenerateBatches:
     def test_large_batch_bulk_merges(self):
         """A big changed set into a small heap takes the heapify merge."""
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         n = max(TransferCalendar.BULK_HEAPIFY_MIN,
                 TransferCalendar.BATCH_MIN) + 4
         for i in range(n):
@@ -230,7 +223,7 @@ class TestDegenerateBatches:
     def test_cancel_then_reprice(self, calendar_cls):
         """Repricing after a cancel re-times exactly the survivors."""
         provider = ScriptedDelta()
-        calendar = calendar_cls(provider)
+        calendar = calendar_cls(SlotAdapter(provider))
         for i in range(6):
             calendar.activate(Transfer(i, 0, 1, 6000.0), now=0.0)
         calendar.flush(0.0)
@@ -250,7 +243,7 @@ class TestDegenerateBatches:
         """Cancel + re-activate of the same id reuses the freed slot and
         resets its epoch; the old tenant's heap entries die as stale."""
         provider = ScriptedDelta()
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(provider))
         for i in range(5):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
@@ -273,7 +266,7 @@ class TestDegenerateBatches:
     @BOTH_PATHS
     def test_tid_reuse_agrees_across_paths(self, calendar_cls):
         provider = ScriptedDelta()
-        calendar = calendar_cls(provider)
+        calendar = calendar_cls(SlotAdapter(provider))
         for i in range(5):
             calendar.activate(Transfer(i, 0, 1, 1000.0), now=0.0)
         calendar.flush(0.0)
@@ -335,7 +328,7 @@ class TestFlushTimerSampling:
     @BOTH_PATHS
     def test_sampled_calendar_flush_timer(self, calendar_cls):
         registry = MetricsRegistry(timer_sample_every=4)
-        calendar = calendar_cls(ScriptedDelta(), metrics=registry)
+        calendar = calendar_cls(SlotAdapter(ScriptedDelta()), metrics=registry)
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
         for step in range(12):
             calendar.flush(float(step))
@@ -346,7 +339,7 @@ class TestFlushTimerSampling:
 
     def test_unsampled_timer_observes_every_flush(self):
         registry = MetricsRegistry()
-        calendar = TransferCalendar(ScriptedDelta(), metrics=registry)
+        calendar = TransferCalendar(SlotAdapter(ScriptedDelta()), metrics=registry)
         calendar.activate(Transfer("a", 0, 1, 1e9), now=0.0)
         for step in range(5):
             calendar.flush(float(step))
@@ -358,7 +351,7 @@ class TieredDelta:
 
     Dense contract: every call returns a rate for the whole tracked set, of
     which one hash group (``tid % GROUPS``) is re-priced per call.  This
-    class speaks only ``update`` (the calendar's dict adapter);
+    class speaks only ``update`` (served through ``SlotAdapter``);
     :class:`SlotTierDelta` adds the native ``update_slots`` — with
     identical float64 values in identical (tracked) order.
     """
@@ -442,7 +435,7 @@ def run_churn(provider, calendar_cls=TransferCalendar, num_flights=24, rounds=12
 
 
 class TestSlotHandleHandoff:
-    """The slot-handle handoff agrees bit-for-bit with the dict adapter."""
+    """A native ``update_slots`` agrees bit-for-bit with the test adapter."""
 
     def test_slot_and_dict_handoffs_agree_under_churn(self):
         """Same churn workload, both handoffs: identical completions/stats.
@@ -452,7 +445,7 @@ class TestSlotHandleHandoff:
         the slot table the provider mirrors must track all of it.
         """
         scalar = run_churn(TieredDelta(), ScalarTransferCalendar)
-        adapted = run_churn(TieredDelta())
+        adapted = run_churn(SlotAdapter(TieredDelta()))
         slots = run_churn(SlotTierDelta())
         assert slots == scalar
         assert adapted == scalar

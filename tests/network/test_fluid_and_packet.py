@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
+from oracles.slot_adapter import SlotAdapter
 
 from repro.exceptions import SimulationError
 from repro.network import (
@@ -40,17 +41,17 @@ class SharedResourceProvider:
 
 class TestFluidSimulator:
     def test_single_transfer_duration(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(100.0)))
         results = sim.run([Transfer("a", 0, 1, 1000.0)])
         assert results["a"].duration == pytest.approx(10.0)
 
     def test_latency_added_once(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(100.0), latency=1.0)
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(100.0)), latency=1.0)
         results = sim.run([Transfer("a", 0, 1, 1000.0)])
         assert results["a"].duration == pytest.approx(11.0)
 
     def test_equal_sharing_doubles_duration(self):
-        sim = FluidTransferSimulator(SharedResourceProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(SharedResourceProvider(100.0)))
         transfers = [Transfer("a", 0, 1, 1000.0), Transfer("b", 0, 2, 1000.0)]
         results = sim.run(transfers)
         assert results["a"].duration == pytest.approx(20.0)
@@ -58,7 +59,7 @@ class TestFluidSimulator:
 
     def test_short_transfer_finishes_then_long_one_speeds_up(self):
         """Progressive filling: when the short flow ends, the long one gets the full rate."""
-        sim = FluidTransferSimulator(SharedResourceProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(SharedResourceProvider(100.0)))
         transfers = [Transfer("short", 0, 1, 500.0), Transfer("long", 0, 2, 1500.0)]
         results = sim.run(transfers)
         # short: 500 bytes at 50 B/s -> 10 s; long: 500 at 50 then 1000 at 100 -> 20 s
@@ -66,7 +67,7 @@ class TestFluidSimulator:
         assert results["long"].duration == pytest.approx(20.0)
 
     def test_staggered_start_times(self):
-        sim = FluidTransferSimulator(SharedResourceProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(SharedResourceProvider(100.0)))
         transfers = [Transfer("a", 0, 1, 1000.0, start_time=0.0),
                      Transfer("b", 0, 2, 1000.0, start_time=5.0)]
         results = sim.run(transfers)
@@ -75,22 +76,22 @@ class TestFluidSimulator:
         assert results["a"].finish_time < results["b"].finish_time
 
     def test_zero_size_transfer(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(100.0)))
         results = sim.run([Transfer("a", 0, 1, 0.0)])
         assert results["a"].duration == pytest.approx(0.0)
 
     def test_duplicate_ids_rejected(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(1.0))
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(1.0)))
         with pytest.raises(SimulationError):
             sim.run([Transfer("a", 0, 1, 1.0), Transfer("a", 1, 2, 1.0)])
 
     def test_stalled_simulation_detected(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(0.0))
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(0.0)))
         with pytest.raises(SimulationError):
             sim.run([Transfer("a", 0, 1, 10.0)])
 
     def test_makespan_and_durations_helpers(self):
-        sim = FluidTransferSimulator(ConstantRateProvider(10.0))
+        sim = FluidTransferSimulator(SlotAdapter(ConstantRateProvider(10.0)))
         transfers = [Transfer("a", 0, 1, 100.0), Transfer("b", 2, 3, 50.0)]
         durations = sim.durations(transfers)
         assert durations["a"] == pytest.approx(10.0)
@@ -174,10 +175,34 @@ class TestCreditBasedNetwork:
 class TestTransferCalendar:
     """Unit tests of the shared event calendar (epoch staleness, delta bridge)."""
 
-    def test_rates_only_provider_falls_back_to_full_queries(self):
+    def test_rates_only_provider_is_rejected(self):
+        """The calendar needs ``update_slots`` and ``reset``; both fluid
+        loops reject a rates-only provider with a named error."""
+        from repro.cluster import custom_cluster
         from repro.network.fluid import TransferCalendar
-        calendar = TransferCalendar(ConstantRateProvider(100.0))
-        assert calendar.delta is False
+        from repro.simulator import Application, Simulator
+
+        named = r"ConstantRateProvider has no update_slots\(\) method"
+        with pytest.raises(SimulationError, match=named):
+            TransferCalendar(ConstantRateProvider(100.0))
+        sim = FluidTransferSimulator(ConstantRateProvider(100.0))
+        with pytest.raises(SimulationError, match=named):
+            sim.run([Transfer("a", 0, 1, 1000.0)])
+        app = Application(num_tasks=2)
+        app.add_send(0, 1, 1 * MB)
+        app.add_recv(1, 0, 1 * MB)
+        simulator = Simulator(custom_cluster(num_nodes=2, cores_per_node=1),
+                              ConstantRateProvider(100.0))
+        with pytest.raises(SimulationError, match=named):
+            simulator.run(app, placement="RRN")
+
+        class SlotsWithoutReset:
+            def update_slots(self, added, added_slots, removed):
+                raise AssertionError("never reached")
+
+        with pytest.raises(SimulationError,
+                           match=r"SlotsWithoutReset has no reset\(\) method"):
+            TransferCalendar(SlotsWithoutReset())
 
     def test_stale_entries_are_discarded_not_fired(self):
         """A rate change supersedes the old completion entry via the epoch."""
@@ -192,7 +217,7 @@ class TestTransferCalendar:
                 rate = 10.0 if self.calls == 1 else 20.0
                 return {t.transfer_id: rate for t in active}
 
-        calendar = TransferCalendar(TwoPhase())
+        calendar = TransferCalendar(SlotAdapter(TwoPhase()))
         calendar.activate(Transfer("a", 0, 1, 100.0), now=0.0)
         calendar.flush(0.0)
         assert calendar.next_time() == pytest.approx(10.0)   # 100 B at 10 B/s
@@ -206,8 +231,7 @@ class TestTransferCalendar:
 
     def test_unchanged_rate_value_keeps_the_entry(self):
         from repro.network.fluid import TransferCalendar
-        provider = ConstantRateProvider(50.0)
-        calendar = TransferCalendar(provider)
+        calendar = TransferCalendar(SlotAdapter(ConstantRateProvider(50.0)))
         calendar.activate(Transfer("a", 0, 1, 500.0), now=0.0)
         calendar.flush(0.0)
         first_retimed = calendar.stats.retimed
@@ -217,7 +241,7 @@ class TestTransferCalendar:
         assert calendar.next_time() == pytest.approx(10.0)
 
     def test_fluid_simulator_records_calendar_stats(self):
-        sim = FluidTransferSimulator(SharedResourceProvider(100.0))
+        sim = FluidTransferSimulator(SlotAdapter(SharedResourceProvider(100.0)))
         sim.run([Transfer("a", 0, 1, 500.0), Transfer("b", 0, 2, 1500.0)])
         stats = sim.last_calendar_stats
         assert stats is not None
@@ -238,13 +262,14 @@ class TestTransferCalendar:
         results = {}
         for delta in (True, False):
             provider = ModelRateProvider(GigabitEthernetModel(), "ethernet")
-            sim = FluidTransferSimulator(provider if delta else RatesOnly(provider))
+            sim = FluidTransferSimulator(provider if delta else full_query(provider))
             results[delta] = sim.run(transfers)
         assert results[True] == results[False]
 
     def test_provider_dropping_a_live_transfer_is_detected(self):
-        """A full-query provider that omits a previously rated transfer from
-        a later map must raise, not silently keep the stale rate."""
+        """A full-query provider (behind the test adapter) that omits a
+        previously rated transfer from a later map must raise, not silently
+        keep the stale rate."""
 
         class Forgetful:
             def rates(self, active):
@@ -252,7 +277,7 @@ class TestTransferCalendar:
                 return {t.transfer_id: 100.0 for t in active
                         if t.transfer_id != "a" or len(active) == 1}
 
-        sim = FluidTransferSimulator(Forgetful())
+        sim = FluidTransferSimulator(SlotAdapter(Forgetful()))
         transfers = [Transfer("a", 0, 1, 1000.0),
                      Transfer("b", 2, 3, 500.0, start_time=1.0)]
         with pytest.raises(SimulationError, match="no rate for"):

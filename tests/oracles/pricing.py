@@ -10,7 +10,8 @@
   incremental engine: every delta rebuilds the in-flight communication
   graph and re-prices every active transfer through
   :meth:`~repro.core.penalty.ContentionModel.penalties`, and reports all of
-  them as changed.  It speaks only the dict tier of the delta contract.
+  them as changed.  It speaks only the dict view ``update``; the calendar
+  reaches it through :class:`~oracles.slot_adapter.SlotAdapter`.
 
 The production provider must agree with both, rate for rate
 (``tests/property/test_incremental_properties.py``,

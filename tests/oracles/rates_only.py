@@ -1,14 +1,17 @@
-"""Test helper: hide a provider's delta API so the calendar takes the full query.
+"""Test helper: price a provider through full-set ``rates()`` queries only.
 
-The calendar uses the delta contract whenever the provider has an
-``update`` method.  :class:`RatesOnly` forwards only the full-set
-``rates()`` call (plus ``reset()``, so a wrapped provider is reset between
-runs like an unwrapped one), which drives the calendar's full-query path:
-every flush re-queries the whole active set and finds the changed rates by
-value-diff.
+:class:`RatesOnly` hides a provider's delta API: it forwards only the
+full-set ``rates()`` call (plus ``reset()``, so a wrapped provider is reset
+between runs like an unwrapped one).  The calendar accepts only
+``update_slots``/``reset`` providers, so :func:`full_query` puts the
+wrapper behind :class:`~oracles.slot_adapter.SlotAdapter`: every flush
+that carries a delta, every stall retry and every reprice re-queries the
+whole active set and hands back every rate.
 """
 
 from __future__ import annotations
+
+from oracles.slot_adapter import SlotAdapter
 
 
 class RatesOnly:
@@ -22,3 +25,8 @@ class RatesOnly:
 
     def reset(self):
         self.inner.reset()
+
+
+def full_query(provider):
+    """``provider`` priced by full re-queries, in the calendar's interface."""
+    return SlotAdapter(RatesOnly(provider))

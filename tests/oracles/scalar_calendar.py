@@ -4,8 +4,9 @@
 transfer in an insertion-ordered dict and applies every changed rate in a
 Python loop: integrate the remaining bytes at the old rate, store the new
 rate, draw a fresh epoch and push a new ``(completion, seq, id, epoch)``
-heap entry.  It speaks only the dict tier of the delta contract
-(``update``), or the full-set ``rates`` query for a rates-only provider.
+heap entry.  It speaks only the dict view ``update`` of the delta
+contract; a dict-only or rates-only test double reaches it through
+:class:`~oracles.slot_adapter.SlotAdapter`, like the production calendar.
 
 It has the public surface, the work counters and the trace stream of
 :class:`~repro.network.fluid.TransferCalendar`, so :func:`scalar_calendar`
@@ -55,7 +56,6 @@ class ScalarTransferCalendar:
         if missing_rate not in ("error", "zero"):
             raise SimulationError(f"unknown missing_rate policy {missing_rate!r}")
         self.provider = rate_provider
-        self.delta = callable(getattr(rate_provider, "update", None))
         self.missing_rate = missing_rate
         self._trace = active_sink(trace)
         self._flush_timer = metrics.timer("calendar.flush_s") if metrics is not None else None
@@ -135,19 +135,12 @@ class ScalarTransferCalendar:
     def _flush(self, now):
         added_count = len(self._pending_added)
         removed_count = len(self._pending_removed)
-        if self.delta:
-            if not added_count and not removed_count:
-                if self._stalled:
-                    self._retry_stalled(now)
-                return
-            changed = self.provider.update(list(self._pending_added.values()),
-                                           list(self._pending_removed))
-        else:
-            if not self._flights:
-                self._pending_added.clear()
-                self._pending_removed.clear()
-                return
-            changed = self.provider.rates(self._transfers())
+        if not added_count and not removed_count:
+            if self._stalled:
+                self._retry_stalled(now)
+            return
+        changed = self.provider.update(list(self._pending_added.values()),
+                                       list(self._pending_removed))
         self._pending_added.clear()
         self._pending_removed.clear()
         self._count_query(changed)
@@ -156,7 +149,7 @@ class ScalarTransferCalendar:
             "changed": len(changed), "active": len(self._flights),
         })
         self._apply_changed(changed, now)
-        if self.delta and self._stalled:
+        if self._stalled:
             self._retry_stalled(now)
 
     def _retry_stalled(self, now):
@@ -177,15 +170,8 @@ class ScalarTransferCalendar:
         self.flush(now)
         if not self._flights:
             return
-        if self.delta:
-            reset = getattr(self.provider, "reset", None)
-            if not callable(reset):
-                raise SimulationError(
-                    "reprice() on a delta provider requires a reset() method")
-            reset()
-            changed = self.provider.update(self._transfers(), [])
-        else:
-            changed = self.provider.rates(self._transfers())
+        self.provider.reset()
+        changed = self.provider.update(self._transfers(), [])
         self._count_query(changed)
         self._emit(now, "calendar.reprice", None, {
             "active": len(self._flights), "changed": len(changed),
@@ -241,15 +227,12 @@ class ScalarTransferCalendar:
         for tid, rate in changed.items():
             flight = self._flights.get(tid)
             if flight is None:
-                continue  # a full-map shim may echo ids the caller never activated
+                continue  # a provider may echo ids the caller never activated
             if rate < 0:
                 raise SimulationError(f"negative rate for transfer {tid!r}")
             self._apply_rate(tid, flight, rate, now)
-        # delta mode: absence means "unchanged"; full query: a dropped flight
-        if self.delta:
-            missing = [tid for tid, f in self._flights.items() if not f.rated]
-        else:
-            missing = [tid for tid in self._flights if tid not in changed]
+        # absence means "unchanged"; a never-rated flight is missing
+        missing = [tid for tid, f in self._flights.items() if not f.rated]
         if missing:
             if self.missing_rate == "error":
                 raise SimulationError(f"rate provider returned no rate for {missing!r}")

@@ -2,10 +2,10 @@
 
 The execution engine advances in-flight transfers through a lazy calendar
 of predicted completions, re-timing only the transfers whose rate value
-changed — fed either by the provider's delta ``update`` API or, for a
-provider that only has ``rates()`` (a shipped provider behind the
-:class:`~oracles.rates_only.RatesOnly` wrapper), by re-querying the full
-active set every step.  The two must produce **identical** ``EventRecord``
+changed — fed either by the provider's own ``update_slots`` or, for a
+provider that only has ``rates()`` (a shipped provider behind
+:func:`~oracles.rates_only.full_query`), by re-querying the full active set
+on every delta.  The two must produce **identical** ``EventRecord``
 streams and finish times for any application, placement and technology,
 under every provider (incremental model, the full-recompute model oracle,
 calibrated emulator) — the delta path is an optimisation, never an
@@ -18,7 +18,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 from oracles.pricing import FullRecomputeProvider
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
+from oracles.slot_adapter import SlotAdapter
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel, MyrinetModel
@@ -79,7 +80,7 @@ def build_application(spec) -> Application:
 
 
 def run_engine(app, cluster, provider, policy, seed, delta: bool):
-    sim = Simulator(cluster, provider if delta else RatesOnly(provider))
+    sim = Simulator(cluster, provider if delta else full_query(provider))
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task
@@ -109,6 +110,8 @@ class TestCalendarEngineBitExact:
         for delta in (True, False):
             for factory in (ModelRateProvider, FullRecomputeProvider):
                 provider = factory(MyrinetModel(), "myrinet")
+                if delta and factory is FullRecomputeProvider:
+                    provider = SlotAdapter(provider)  # speaks only update()
                 outcomes.append(run_engine(
                     app, cluster, provider, spec["policy"], spec["seed"], delta
                 ))
@@ -132,7 +135,8 @@ class TestCalendarEngineBitExact:
 
 class TestRatesOnlyProviderCompatibility:
     def test_engine_runs_on_a_rates_only_provider(self):
-        """Third-party providers without update() fall back to full queries."""
+        """A rates-only provider runs behind the test adapter, which
+        re-queries the full set on every delta."""
 
         class FairSplit:
             def rates(self, active):
@@ -142,7 +146,7 @@ class TestRatesOnlyProviderCompatibility:
         app = Application(num_tasks=2)
         app.add_send(0, 1, 1 * MB)
         app.add_recv(1, 0, 1 * MB)
-        sim = Simulator(cluster, FairSplit())
+        sim = Simulator(cluster, SlotAdapter(FairSplit()))
         report = sim.run(app, placement="RRN")
         expected = cluster.technology.latency + (
             1 * MB + cluster.technology.mpi_envelope

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from oracles.pricing import FullRecomputeProvider
 
 from repro.core import GigabitEthernetModel, InfinibandModel, MyrinetModel
+from repro.exceptions import SimulationError
 from repro.network.allocator import EmulatorRateProvider
 from repro.network.fluid import Transfer
 from repro.network.technologies import get_technology
@@ -177,3 +178,46 @@ class TestDeltaErrors:
         provider.reset()
         assert provider.rates(transfers)  # re-adding after reset works
         assert provider.stats.cache_hits >= 1  # memoized situation survived
+
+SHIPPED_PROVIDERS = {
+    "model": lambda: ModelRateProvider(GigabitEthernetModel(), "ethernet"),
+    "emulator": lambda: EmulatorRateProvider(get_technology("ethernet"),
+                                             num_hosts=4),
+}
+
+
+@pytest.mark.parametrize("make", SHIPPED_PROVIDERS.values(),
+                         ids=SHIPPED_PROVIDERS.keys())
+class TestDeltaValidation:
+    """Both providers validate a delta id by id, before any mutation."""
+
+    def test_remove_and_readd_in_one_delta_is_accepted(self, make):
+        # the calendar's stall-retry cycle: departure + arrival of one id
+        provider = make()
+        t = Transfer(transfer_id="a", src=0, dst=1, size=10.0)
+        provider.update([t], [])
+        assert set(provider.update([t], ["a"])) == {"a"}
+
+    def test_adding_an_active_id_is_rejected(self, make):
+        provider = make()
+        t = Transfer(transfer_id="a", src=0, dst=1, size=10.0)
+        provider.update([t], [])
+        with pytest.raises(SimulationError,
+                           match="'a' added to the rate set twice"):
+            provider.update([t], [])
+
+    def test_removing_an_id_twice_is_rejected(self, make):
+        provider = make()
+        provider.update([Transfer(transfer_id="a", src=0, dst=1, size=10.0)], [])
+        with pytest.raises(SimulationError,
+                           match="unknown transfer 'a' removed"):
+            provider.update([], ["a", "a"])
+        assert provider.update([], ["a"]) == {}  # nothing half-applied
+
+    def test_adding_an_id_twice_in_one_delta_is_rejected(self, make):
+        provider = make()
+        t = Transfer(transfer_id="a", src=0, dst=1, size=10.0)
+        with pytest.raises(SimulationError,
+                           match="'a' added to the rate set twice"):
+            provider.update([t, t], [])
+        assert set(provider.update([t], [])) == {"a"}

@@ -1,29 +1,26 @@
-"""Property tests: the calendar's full-query path agrees with the delta path.
+"""Property tests: full re-queries through the test adapter agree with deltas.
 
-A provider without ``update`` is re-queried with the whole active set on
-every flush, and the calendar finds the changed rates by value-diff.  No
-shipped provider takes this path on its own any more, so these tests drive
-it by hiding the delta API of both shipped providers behind
-:class:`~oracles.rates_only.RatesOnly` — through the execution engine and
+A rates-only provider reaches the calendar through
+:class:`~oracles.slot_adapter.SlotAdapter`, which re-queries the whole
+active set on every delta, stall retry and reprice and hands back every
+rate; the calendar re-times only the rates whose value changed.  These
+tests price both shipped providers that way
+(:func:`~oracles.rates_only.full_query`), through the execution engine and
 through the standalone fluid simulator.
 
 Against the delta-fed run of the same provider, records, finish times and
-every calendar counter must agree except two groups:
-
-* the handoff-tier counters, which name the tier a flush took;
-* the query counters (``flushes``, ``rate_updates``, ``active_at_flush``,
-  ``stall_retries``), which count provider queries: the full-query path
-  asks on every step and gets the whole active set back.
-
-Those are pinned instead against the scalar oracle calendar
-(:mod:`oracles.scalar_calendar`) running the same full-query workload.
+every calendar counter must agree except ``rate_updates``, which counts the
+rates handed back: the whole active set per flush instead of the re-priced
+transfers.  The full-query runs also match the scalar oracle calendar
+(:mod:`oracles.scalar_calendar`) on the same workload, on every counter
+except the strategy counters.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
 from oracles.scalar_calendar import scalar_calendar
 from test_calendar_engine import build_application, workload_strategy
 
@@ -39,9 +36,8 @@ common_settings = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-TIER_COUNTERS = ("handoff_tier_slots", "handoff_tier_dict")
-QUERY_COUNTERS = ("flushes", "rate_updates", "active_at_flush", "stall_retries")
-STRATEGY_COUNTERS = TIER_COUNTERS + ("bulk_merges", "bulk_entries")
+STRATEGY_COUNTERS = ("handoff_tier_slots", "handoff_tier_dict",
+                     "bulk_merges", "bulk_entries")
 
 
 def make_provider(kind, cluster):
@@ -81,14 +77,14 @@ class TestFullQueryPath:
         app = build_application(spec)
         delta = run_engine(spec, app, cluster, make_provider(kind, cluster))
         full = run_engine(spec, app, cluster,
-                          RatesOnly(make_provider(kind, cluster)))
+                          full_query(make_provider(kind, cluster)))
         assert full[:2] == delta[:2]
-        assert without(full[2], TIER_COUNTERS + QUERY_COUNTERS) == \
-            without(delta[2], TIER_COUNTERS + QUERY_COUNTERS)
-        assert full[2]["handoff_tier_dict"] == full[2]["flushes"]
+        assert without(full[2], ("rate_updates",)) == \
+            without(delta[2], ("rate_updates",))
+        assert full[2]["handoff_tier_slots"] == full[2]["flushes"]
         with scalar_calendar():
             oracle = run_engine(spec, app, cluster,
-                                RatesOnly(make_provider(kind, cluster)))
+                                full_query(make_provider(kind, cluster)))
         assert oracle[:2] == full[:2]
         assert without(oracle[2], STRATEGY_COUNTERS) == \
             without(full[2], STRATEGY_COUNTERS)
@@ -109,12 +105,12 @@ class TestFullQueryPath:
         cluster = custom_cluster(num_nodes=4, cores_per_node=1,
                                  technology="ethernet")
         delta = run_fluid(transfers, make_provider(kind, cluster))
-        full = run_fluid(transfers, RatesOnly(make_provider(kind, cluster)))
+        full = run_fluid(transfers, full_query(make_provider(kind, cluster)))
         assert full[0] == delta[0]
-        assert without(full[1], TIER_COUNTERS + QUERY_COUNTERS) == \
-            without(delta[1], TIER_COUNTERS + QUERY_COUNTERS)
+        assert without(full[1], ("rate_updates",)) == \
+            without(delta[1], ("rate_updates",))
         with scalar_calendar():
-            oracle = run_fluid(transfers, RatesOnly(make_provider(kind, cluster)))
+            oracle = run_fluid(transfers, full_query(make_provider(kind, cluster)))
         assert oracle[0] == full[0]
         assert without(oracle[1], STRATEGY_COUNTERS) == \
             without(full[1], STRATEGY_COUNTERS)

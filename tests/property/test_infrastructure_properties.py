@@ -6,6 +6,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.slot_adapter import SlotAdapter
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core.graph import CommunicationGraph
@@ -67,7 +68,7 @@ class TestFluidSimulatorProperties:
         latency=st.floats(0.0, 1.0),
     )
     def test_all_transfers_finish_and_conserve_bytes(self, sizes, latency):
-        sim = FluidTransferSimulator(_FairShare(), latency=latency)
+        sim = FluidTransferSimulator(SlotAdapter(_FairShare()), latency=latency)
         transfers = [Transfer(i, 0, i + 1, s) for i, s in enumerate(sizes)]
         results = sim.run(transfers)
         assert set(results) == {t.transfer_id for t in transfers}
@@ -80,7 +81,7 @@ class TestFluidSimulatorProperties:
     @common_settings
     @given(sizes=st.lists(st.floats(1.0, 1e4), min_size=2, max_size=6))
     def test_makespan_at_least_total_work_over_capacity(self, sizes):
-        sim = FluidTransferSimulator(_FairShare())
+        sim = FluidTransferSimulator(SlotAdapter(_FairShare()))
         transfers = [Transfer(i, 0, i + 1, s) for i, s in enumerate(sizes)]
         makespan = sim.makespan(transfers)
         assert makespan >= sum(sizes) / 100.0 - 1e-9

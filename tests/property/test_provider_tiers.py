@@ -5,16 +5,16 @@ contention model over the incremental penalty engine) and
 :class:`~repro.network.allocator.EmulatorRateProvider` (warm-started
 water-filling allocator) speak both entry points of the delta contract —
 
-* ``update(added, removed) -> dict``            (dict view; the calendar's
-  adapter serves providers that have only this)
-* ``update_slots(added, added_slots, removed)`` (slot-handle tier)
+* ``update(added, removed) -> dict``            (dict view for direct
+  callers)
+* ``update_slots(added, added_slots, removed)`` (the calendar's handoff)
 
-— and the handoff the calendar takes must never change simulated results:
+— and which one prices a run must never change simulated results:
 identical per-rank event streams, finish times, traces and stats (modulo
-the strategy counters that *name* the handoff taken).  The dict adapter is
-forced by hiding ``update_slots`` behind a wrapper, since the calendar
-discovers it with ``getattr``.  Traced runs and rate-scale windows stay on
-the slot tier.
+the strategy counters).  The "dict" tier hides ``update_slots`` behind
+:class:`DictOnly` and serves the dict view through the test adapter
+(:class:`~oracles.slot_adapter.SlotAdapter`).  Traced runs and rate-scale
+windows stay on the slot tier.
 
 Degenerate cases ride along: slot reuse after cancels, transfer-id reuse
 (a reused slot starts at epoch 0, which no heap entry carries), and zero-rate
@@ -28,8 +28,9 @@ from contextlib import nullcontext
 import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
 from oracles.scalar_calendar import ScalarTransferCalendar, scalar_calendar
+from oracles.slot_adapter import SlotAdapter
 
 from repro._numpy import np
 from repro.cluster import custom_cluster, make_placement
@@ -66,9 +67,9 @@ TIERS = ("slots", "dict")
 class DictOnly:
     """Expose only the dict entry point of a slot-capable provider.
 
-    The calendar probes ``update_slots`` with ``getattr``, so hiding it
-    behind a wrapper forces every flush through the calendar's dict
-    adapter while the inner provider prices identically.
+    Behind :class:`SlotAdapter` every flush then goes through the dict view
+    and the adapter's slot alignment while the inner provider prices
+    identically.
     """
 
     def __init__(self, inner):
@@ -82,7 +83,7 @@ class DictOnly:
 
 
 def force_tier(tier, provider):
-    return DictOnly(provider) if tier == "dict" else provider
+    return SlotAdapter(DictOnly(provider)) if tier == "dict" else provider
 
 
 def make_provider(kind, cluster):
@@ -161,7 +162,7 @@ def run_engine(spec, app, cluster, tier, scalar=False, delta=True, trace=None,
     provider = make_provider(spec["provider"], cluster)
     sim = Simulator(
         cluster,
-        force_tier(tier, provider) if delta else RatesOnly(provider),
+        force_tier(tier, provider) if delta else full_query(provider),
         config=EngineConfig(injectors=injectors),
         trace=trace,
     )
@@ -192,14 +193,14 @@ class TestEngineTierEquivalence:
             outcome = run_engine(spec, app, cluster, tier)
             assert comparable(outcome) == comparable(scalar), tier
             if tier == "slots":
-                # the real providers must actually *ride* the slot tier:
-                # no flush falls through to the dict adapter
+                # every flush is handed to update_slots; the dict
+                # counter stays 0
                 stats = outcome[2].as_dict()
                 assert stats["handoff_tier_dict"] == 0
                 if stats["flushes"]:
                     assert stats["handoff_tier_slots"] > 0
-        # full re-query agrees on the simulated results (stats legitimately
-        # differ: no delta bookkeeping at all)
+        # full re-query agrees on the simulated results (rate_updates
+        # legitimately differ: every rate comes back on every flush)
         full = run_engine(spec, app, cluster, "slots", delta=False)
         assert full[:2] == scalar[:2]
 

@@ -5,9 +5,9 @@ application, integration and re-timing through numpy and bulk-merges heap
 entries; this suite closes the acceptance loop: simulating a random MPI
 application with it must produce **identical** per-rank event streams,
 finish times, calendar stats and — record for record — identical traces as
-the scalar oracle calendar (:mod:`oracles.scalar_calendar`), on the delta
-and the full-query flush path (a provider behind
-:class:`~oracles.rates_only.RatesOnly`), for the contention-model and
+the scalar oracle calendar (:mod:`oracles.scalar_calendar`), with the
+provider answering natively and re-queried in full behind
+:func:`~oracles.rates_only.full_query`, for the contention-model and
 emulator provider families, on a clean fabric and under background-traffic
 load.
 """
@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
 from oracles.scalar_calendar import scalar_calendar
 
 from repro.cluster import custom_cluster, make_placement
@@ -103,7 +103,7 @@ def run_engine(spec, app, cluster, delta, scalar, trace=None):
     provider = make_provider(spec["provider"], cluster)
     sim = Simulator(
         cluster,
-        provider if delta else RatesOnly(provider),
+        provider if delta else full_query(provider),
         config=EngineConfig(injectors=injectors),
         trace=trace,
     )
@@ -136,7 +136,7 @@ class TestVectorizedCalendarBitExact:
     @given(spec=workload_strategy)
     def test_results_and_stats_identical(self, spec):
         """Array and scalar calendars agree on records, finish times and
-        stats, for both flush paths (delta-fed and full re-query)."""
+        stats, fed by deltas and by full re-queries."""
         cluster = custom_cluster(num_nodes=3, cores_per_node=2,
                                  technology="ethernet")
         app = build_application(spec)

@@ -5,10 +5,9 @@ this one closes the acceptance loop end to end: simulating a random MPI
 application with the production providers must produce **identical**
 per-rank event streams and finish times as the scalar oracle providers
 (:mod:`oracles.pricing`, :mod:`oracles.allocator`) — for the
-contention-model side and the calibrated emulator side, on both flush paths
-(delta-fed calendar and full re-query through
-:class:`~oracles.rates_only.RatesOnly`), on a clean crossbar and on an
-oversubscribed fat tree whose fabric links bind.
+contention-model side and the calibrated emulator side, fed by deltas and
+by full re-queries (:func:`~oracles.rates_only.full_query`), on a clean
+crossbar and on an oversubscribed fat tree whose fabric links bind.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 from oracles.allocator import ScalarEmulatorProvider
 from oracles.pricing import ScalarPricingProvider
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
 
 from repro.cluster import custom_cluster, make_placement
 from repro.core import GigabitEthernetModel, MyrinetModel
@@ -74,7 +73,7 @@ def build_application(spec) -> Application:
 
 
 def run_engine(app, cluster, provider, policy, seed, delta: bool):
-    sim = Simulator(cluster, provider if delta else RatesOnly(provider))
+    sim = Simulator(cluster, provider if delta else full_query(provider))
     placement = make_placement(policy, cluster, app.num_tasks, seed=seed)
     report = sim.run(app, placement=placement)
     return report.records, report.finish_time_per_task

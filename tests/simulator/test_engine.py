@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from oracles.rates_only import RatesOnly
+from oracles.rates_only import full_query
 
 from repro.cluster import custom_cluster, user_defined_placement
 from repro.core import GigabitEthernetModel, MyrinetModel, NoContentionModel
@@ -325,7 +325,7 @@ class TestDeltaEngineWork:
         outcomes = {}
         for delta in (True, False):
             provider = ModelRateProvider(GigabitEthernetModel(), big.technology)
-            sim = Simulator(big, provider if delta else RatesOnly(provider))
+            sim = Simulator(big, provider if delta else full_query(provider))
             report = sim.run(app, placement="RRP")
             outcomes[delta] = (report.records, sim.last_engine_stats)
         records_delta, stats_delta = outcomes[True]

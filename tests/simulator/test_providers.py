@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from oracles.pricing import FullRecomputeProvider
+from oracles.slot_adapter import SlotAdapter
 
 from repro.core import FairShareModel, GigabitEthernetModel, PenaltyCache
 from repro.network.fluid import FluidTransferSimulator, Transfer
@@ -99,7 +100,10 @@ class TestIncrementalProvider:
             for t in batch
         ]
         results = {}
-        for mode, factory in ((True, ModelRateProvider), (False, FullRecomputeProvider)):
-            provider = factory(GigabitEthernetModel(), "ethernet")
+        for mode, provider in (
+            (True, ModelRateProvider(GigabitEthernetModel(), "ethernet")),
+            (False, SlotAdapter(FullRecomputeProvider(GigabitEthernetModel(),
+                                                      "ethernet"))),
+        ):
             results[mode] = FluidTransferSimulator(provider).run(staggered)
         assert results[True] == results[False]
